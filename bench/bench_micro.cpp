@@ -5,6 +5,7 @@
 
 #include "alloc/experiments.hpp"
 #include "collectives/hamiltonian.hpp"
+#include "engine/factory.hpp"
 #include "engine/harness.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
@@ -184,6 +185,27 @@ static void BM_DistFieldBfsHx64(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DistFieldBfsHx64);
+
+// Dist-field fills on a faulted Hx2Mesh (9,216 accelerators, 24 failed
+// cables) — the machine of the benchmark's faulted allreduce cells. Each
+// fill is the closed-form field plus the decremental repair of the nodes
+// the failed cables push farther away (a whole-graph reverse BFS per field
+// before the repair existed). Iterations cycle through a fixed set of 64
+// destinations spread over the machine.
+static void BM_DistFieldDegradedHx48(benchmark::State& state) {
+  auto hx = engine::make_topology("hx2mesh:48x48:faults=links:24:seed=3");
+  const topo::RoutingOracle& oracle = hx->routing_oracle();
+  std::vector<std::int32_t> field;
+  const int n = hx->num_endpoints();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const int dst = static_cast<int>((i++ % 64) * (n / 64 + 1) % n);
+    oracle.fill(hx->endpoint_node(dst), field);
+    benchmark::DoNotOptimize(field.back());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DistFieldDegradedHx48);
 
 static void BM_DiameterHx64(benchmark::State& state) {
   // Oracle-backed eccentricity search at full machine scale (was 128

@@ -86,6 +86,7 @@ subcommands:
          process's routing-oracle counters)
 
 environment:
+  HXMESH_CACHE_DIR  result cache location when --cache-dir is not given
   HXMESH_CHAOS      deterministic fault injection. kill:<p> and hang:<p>
                     make 'hxmesh shard' workers self-SIGKILL or hang;
                     drop:<p> and delay:<p> make the --hosts dispatcher
@@ -96,7 +97,8 @@ environment:
 
 common options:
   --json PATH       write rows as a JSON array to PATH ('-' = stdout)
-  --cache-dir DIR   result cache location (default .hxmesh-cache)
+  --cache-dir DIR   result cache location (default $HXMESH_CACHE_DIR,
+                    else .hxmesh-cache)
   --no-cache        bypass the result cache entirely
   --threads N       worker threads (default: $HXMESH_THREADS, else hardware)
   --config FILE     sweep axes from a JSON object with keys "topologies",
@@ -173,7 +175,7 @@ struct SweepOptions {
   std::vector<std::string> labels;  // labels accumulated from flags
   std::vector<engine::GridSpec> config_grids;  // a "grids" config file
   std::string json_path;  // empty or "-": stdout
-  std::string cache_dir = engine::ResultCache::kDefaultDir;
+  std::string cache_dir = engine::ResultCache::default_dir();
   bool no_cache = false;
   int threads = 0;
   // Sharded execution (sweep --shards / the shard subcommand).
@@ -963,7 +965,7 @@ int do_ls(const std::vector<std::string>& args, std::size_t start,
 int do_cache(const std::vector<std::string>& args, std::size_t start,
              std::ostream& out) {
   std::string action;
-  std::string dir = engine::ResultCache::kDefaultDir;
+  std::string dir = engine::ResultCache::default_dir();
   std::optional<std::int64_t> max_age_s;
   std::optional<std::size_t> max_entries;
   for (std::size_t i = start; i < args.size(); ++i) {

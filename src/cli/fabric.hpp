@@ -52,7 +52,7 @@ constexpr int kFabricProto = 1;
 struct ServeOptions {
   std::string bind = "127.0.0.1";  ///< bind address (loopback by default)
   int port = 0;                    ///< 0 = ephemeral; printed on startup
-  std::string cache_dir = engine::ResultCache::kDefaultDir;
+  std::string cache_dir = engine::ResultCache::default_dir();
   int threads = 0;    ///< worker threads per job child (0 = its default)
   unsigned max_jobs = 0;  ///< exit after N jobs (0 = serve forever)
   /// When non-empty, the bound port is written here (atomically) once the

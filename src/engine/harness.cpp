@@ -158,8 +158,9 @@ std::vector<SweepRow> ExperimentHarness::run_cells(const GridPlan& plan,
   std::mutex error_mutex;
   std::atomic<std::uint64_t> executed{0};
 
-  pool_.parallel_for(groups.size(), [&](std::size_t k) {
-    const Group& group = groups[k];
+  // The engine lives only inside run_group, so it is gone before its
+  // topology can be released.
+  auto run_group = [&](const Group& group) {
     auto engine = make_engine(*group.engine, *topologies[group.batch]);
     for (std::size_t j : group.jobs) {
       const auto [jl, jh] = plan.job_range(j);
@@ -181,6 +182,18 @@ std::vector<SweepRow> ExperimentHarness::run_cells(const GridPlan& plan,
         executed.fetch_add(1, std::memory_order_relaxed);
       }
     }
+  };
+
+  // A topology (with its dist-field cache) is released as soon as the last
+  // group using it finishes, so batches that finish early do not stack
+  // their memory on top of the groups still running.
+  std::vector<std::atomic<std::size_t>> groups_left(topologies.size());
+  for (const Group& group : groups) ++groups_left[group.batch];
+
+  pool_.parallel_for(groups.size(), [&](std::size_t k) {
+    const Group& group = groups[k];
+    run_group(group);
+    if (--groups_left[group.batch] == 0) topologies[group.batch].reset();
   });
 
   g_topo_groups.fetch_add(batches.size());

@@ -121,6 +121,11 @@ RunResult parse_result(const std::string& text) {
 
 }  // namespace
 
+std::string ResultCache::default_dir() {
+  const char* env = std::getenv("HXMESH_CACHE_DIR");
+  return env && *env ? env : kDefaultDir;
+}
+
 std::unique_ptr<ResultCache> ResultCache::from_env() {
   if (const char* env = std::getenv("HXMESH_CACHE_DIR"); env && *env)
     return std::make_unique<ResultCache>(env);

@@ -53,6 +53,11 @@ class ResultCache {
 
   explicit ResultCache(std::string dir = kDefaultDir) : dir_(std::move(dir)) {}
 
+  /// The cache directory when none is given explicitly: $HXMESH_CACHE_DIR
+  /// when set and non-empty, kDefaultDir otherwise. Every CLI subcommand
+  /// defaults its --cache-dir to it.
+  static std::string default_dir();
+
   /// The bench-wide convention: a cache in $HXMESH_CACHE_DIR when that
   /// names a directory, nullptr (run uncached) otherwise. Benches and
   /// examples share this so the convention lives in one place.

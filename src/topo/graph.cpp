@@ -86,18 +86,13 @@ std::span<const LinkId> Graph::bundle(NodeId a, NodeId b) const {
 
 void Graph::set_link_failed(LinkId l, bool failed) {
   if (failed_.size() < links_.size()) failed_.resize(links_.size(), 0);
+  if ((failed_[l] != 0) == failed) return;
   failed_[l] = failed ? 1 : 0;
-  if (failed) {
-    has_failed_ = true;
-  } else {
-    has_failed_ = num_failed_links() > 0;
-  }
-}
-
-std::size_t Graph::num_failed_links() const {
-  std::size_t n = 0;
-  for (std::uint8_t f : failed_) n += f;
-  return n;
+  if (failed)
+    failed_list_.push_back(l);
+  else
+    failed_list_.erase(
+        std::find(failed_list_.begin(), failed_list_.end(), l));
 }
 
 namespace {
@@ -132,13 +127,13 @@ std::vector<std::int32_t> bfs(
 std::vector<std::int32_t> Graph::dist_to(NodeId dst) const {
   static const std::vector<std::uint8_t> kNoFailures;
   return bfs(dst, num_nodes(), in_, links_, /*follow_src=*/true,
-             has_failed_ ? failed_ : kNoFailures);
+             has_failed_links() ? failed_ : kNoFailures);
 }
 
 std::vector<std::int32_t> Graph::dist_from(NodeId src) const {
   static const std::vector<std::uint8_t> kNoFailures;
   return bfs(src, num_nodes(), out_, links_, /*follow_src=*/false,
-             has_failed_ ? failed_ : kNoFailures);
+             has_failed_links() ? failed_ : kNoFailures);
 }
 
 }  // namespace hxmesh::topo

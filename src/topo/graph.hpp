@@ -101,13 +101,18 @@ class Graph {
 
   /// True when `l` is marked failed. The has_failed_links() fast path keeps
   /// this free on healthy graphs — the overwhelmingly common case.
-  bool link_failed(LinkId l) const { return has_failed_ && failed_[l] != 0; }
+  bool link_failed(LinkId l) const {
+    return !failed_list_.empty() && failed_[l] != 0;
+  }
 
   /// True when any link is marked failed.
-  bool has_failed_links() const { return has_failed_; }
+  bool has_failed_links() const { return !failed_list_.empty(); }
 
   /// Number of directed links currently marked failed.
-  std::size_t num_failed_links() const;
+  std::size_t num_failed_links() const { return failed_list_.size(); }
+
+  /// The directed links currently marked failed, in the order they failed.
+  std::span<const LinkId> failed_links() const { return failed_list_; }
 
  private:
   // Multi-edge index: per source node, the distinct out-neighbors sorted
@@ -124,10 +129,9 @@ class Graph {
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_;
   std::vector<std::vector<LinkId>> in_;
-  // Lazily sized on the first set_link_failed; empty (and has_failed_
-  // false) on healthy graphs.
+  // Lazily sized on the first set_link_failed; empty on healthy graphs.
   std::vector<std::uint8_t> failed_;
-  bool has_failed_ = false;
+  std::vector<LinkId> failed_list_;  // the links with failed_[l] set
   mutable std::once_flag bundle_once_;
   mutable std::unique_ptr<BundleIndex> bundles_;
 };

@@ -5,9 +5,11 @@
 
 namespace hxmesh::topo {
 
-// Closed-form oracle. From an endpoint the distance is hop_distance(); from
-// a switch it is 1 (ejection) plus one hop per differing grid coordinate
-// (rows and columns are fully connected).
+// Closed-form oracle of the healthy fabric. From an endpoint the distance
+// is grid_distance() — never the virtual hop_distance(), which on a
+// faulted fabric asks the served DegradedOracle, i.e. this oracle again.
+// From a switch it is 1 (ejection) plus one hop per differing grid
+// coordinate (rows and columns are fully connected).
 class HyperX::Oracle final : public RoutingOracle {
  public:
   explicit Oracle(const HyperX& t) : RoutingOracle(t.graph()), t_(t) {
@@ -19,7 +21,7 @@ class HyperX::Oracle final : public RoutingOracle {
   std::int32_t node_dist(NodeId from, NodeId dst_node) const override {
     const int dd = t_.rank_of(dst_node);
     const int r = t_.rank_of(from);
-    if (r >= 0) return t_.hop_distance(r, dd);
+    if (r >= 0) return t_.grid_distance(r, dd);
     const int s = sw_of_node_[from];
     const int sd = dd / t_.params_.endpoints_per_switch;
     if (s == sd) return 1;

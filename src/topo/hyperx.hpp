@@ -39,6 +39,12 @@ class HyperX : public Topology {
   }
   int hop_distance(int src, int dst) const override {
     if (faulted()) return Topology::hop_distance(src, dst);
+    return grid_distance(src, dst);
+  }
+
+  /// Closed-form hop distance of the healthy HyperX (fault-blind; the
+  /// oracle's endpoint-to-endpoint answer on the fabric as built).
+  int grid_distance(int src, int dst) const {
     int s1 = src / params_.endpoints_per_switch;
     int s2 = dst / params_.endpoints_per_switch;
     if (s1 == s2) return src == dst ? 0 : 2;

@@ -14,14 +14,17 @@
 // oracles replace; tests/test_routing_oracle.cpp enforces it against real
 // BFS for every family.
 //
-// BfsOracle is the executable fallback (and equivalence reference) for
-// graphs without a closed form.
+// DegradedOracle serves faulted fabrics: it renders the family's healthy
+// closed-form field and repairs exactly the nodes the failed links push
+// farther away. BfsOracle is the executable fallback (and equivalence
+// reference) for graphs without a closed form.
 #pragma once
 
 /// \file
 /// \brief RoutingOracle — closed-form hop distances, O(V) dist-field
-/// fills, and ordered minimal next-hop enumeration, with a BFS fallback
-/// and process-wide observability counters.
+/// fills, and ordered minimal next-hop enumeration, with a decremental
+/// repair for faulted fabrics, a BFS fallback and process-wide
+/// observability counters.
 
 #include <cstdint>
 #include <vector>
@@ -32,8 +35,9 @@ namespace hxmesh::topo {
 
 /// \brief Process-wide counters of who computed distance fields how.
 ///
-/// `oracle_fills` counts closed-form fills, `bfs_fills` counts reverse-BFS
-/// fills (fallback oracles and non-endpoint destinations), and
+/// `oracle_fills` counts closed-form fills (repaired ones on faulted
+/// fabrics included), `bfs_fills` counts whole-graph reverse-BFS fills
+/// (graphs without a closed form and non-endpoint destinations), and
 /// `dist_cache_hits` counts Topology::dist_field cache hits that avoided
 /// any fill at all. They exist to make "BFS never runs on structured
 /// topologies in the hot path" observable (`hxmesh cache stats`), not
@@ -48,6 +52,8 @@ struct RoutingCounters {
 RoutingCounters routing_counters();
 
 namespace detail {
+/// Counts one dist-field fill: an oracle fill when `closed_form`, a
+/// reverse-BFS fill otherwise.
 void count_fill(bool closed_form);
 void count_dist_cache_hit();
 }  // namespace detail
@@ -97,6 +103,44 @@ class RoutingOracle {
 
  protected:
   const Graph& graph_;
+};
+
+/// \brief Oracle of a faulted fabric built from a family's closed form.
+///
+/// fill() renders the healthy closed-form field, then repairs it in
+/// place for the graph's failed links (Ramalingam–Reps decremental
+/// update for unit weights): a node is *affected* iff none of its healthy
+/// out-links reaches an unaffected node one hop closer. The candidates
+/// start at the tails of failed links that lie on a minimal path and are
+/// decided level by level in increasing distance; every affected node
+/// makes its in-neighbours one hop farther candidates. The affected nodes
+/// are then re-relaxed from their unaffected neighbours by a bucketed
+/// unit-weight Dijkstra; nodes it cannot reach get -1. The result equals
+/// Graph::dist_to exactly, at O(V) plus the size of the affected region
+/// instead of a whole-graph search.
+///
+/// In-links are enumerated through the duplex partner `l ^ 1` of each
+/// out-link, so the graph must be built from add_duplex pairs (every
+/// family is). The failed-link set is read live from the graph.
+class DegradedOracle final : public RoutingOracle {
+ public:
+  /// `healthy` must answer for the fabric as built; it stays owned by the
+  /// caller and must outlive this oracle.
+  explicit DegradedOracle(const RoutingOracle& healthy)
+      : RoutingOracle(healthy.graph()), healthy_(healthy) {}
+
+  /// False: a distance needs a (repaired) field, so callers keep their
+  /// field-at-a-time plans.
+  bool closed_form() const override { return false; }
+  /// \brief O(V): renders a whole field per query. Use fill() (or the
+  /// Topology::dist_field cache above it) for anything repeated.
+  std::int32_t node_dist(NodeId from, NodeId dst_node) const override;
+  void fill(NodeId dst_node, std::vector<std::int32_t>& out) const override;
+  void next_hops(NodeId from, NodeId dst_node,
+                 std::vector<LinkId>& out) const override;
+
+ private:
+  const RoutingOracle& healthy_;
 };
 
 /// \brief Reverse-BFS fallback oracle: correct on any graph, O(V+E) per

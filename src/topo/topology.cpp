@@ -50,11 +50,14 @@ void Topology::finalize() {
 }
 
 const RoutingOracle& Topology::routing_oracle() const {
-  // Closed forms describe the healthy fabric; once links have failed the
-  // BFS fallback is the only oracle whose answers match the graph.
   if (oracle_ && !graph_.has_failed_links()) return *oracle_;
+  // Faulted built-in fabric: the closed form plus decremental repair.
+  // Graphs without a closed form: reverse BFS.
   std::call_once(oracle_once_, [&] {
-    fallback_oracle_ = std::make_unique<BfsOracle>(graph_);
+    if (oracle_)
+      fallback_oracle_ = std::make_unique<DegradedOracle>(*oracle_);
+    else
+      fallback_oracle_ = std::make_unique<BfsOracle>(graph_);
   });
   return *fallback_oracle_;
 }
@@ -130,13 +133,12 @@ Topology::DistField Topology::dist_field(NodeId dst_node) const {
   // The fill runs outside the lock: the graph is immutable after
   // construction, and concurrent engines should not serialize on each
   // other's misses. Endpoint destinations go through the oracle (closed
-  // form on every built-in family); switch destinations — which no hot
-  // path requests — keep the reverse BFS.
+  // form on every built-in family, repaired when faulted); switch
+  // destinations — which no hot path requests — keep the reverse BFS.
   auto field = std::make_shared<std::vector<std::int32_t>>();
   if (graph_.kind(dst_node) == NodeKind::kEndpoint) {
-    const RoutingOracle& oracle = routing_oracle();
-    oracle.fill(dst_node, *field);
-    detail::count_fill(oracle.closed_form());
+    routing_oracle().fill(dst_node, *field);
+    detail::count_fill(/*closed_form=*/oracle_ != nullptr);
     if (graph_.has_failed_links()) {
       // Faults may partition the fabric; surface that as a typed error at
       // fill time instead of letting -1 distances silently poison route

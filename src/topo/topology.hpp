@@ -127,19 +127,26 @@ class Topology {
 
   /// Hop-distance field to `dst_node` (bounded cache; misses are rendered
   /// by the routing oracle — an O(V) closed-form fill on every built-in
-  /// family, reverse BFS otherwise). Used by the packet-level simulator's
-  /// route tables. Thread-safe: concurrent engines share one Topology, so
-  /// the cache is guarded by a shared_mutex and fields are handed out as
-  /// shared_ptr — a field stays alive for its users even after FIFO
-  /// eviction drops it from the cache.
+  /// family, repaired for failed links on a faulted one, reverse BFS
+  /// otherwise). Used by the packet-level simulator's route tables.
+  /// Thread-safe: concurrent engines share one Topology, so the cache is
+  /// guarded by a shared_mutex and fields are handed out as shared_ptr — a
+  /// field stays alive for its users even after FIFO eviction drops it
+  /// from the cache.
+  /// \throws DisconnectedError when a faulted fabric leaves an endpoint
+  /// unable to reach `dst_node`.
   using DistField = std::shared_ptr<const std::vector<std::int32_t>>;
   DistField dist_field(NodeId dst_node) const;
 
-  /// The routing oracle of this topology: every built-in family installs a
-  /// closed-form oracle at construction; anything else gets a lazily
-  /// created BfsOracle. On a faulted fabric the closed forms no longer
-  /// hold, so the BfsOracle fallback (which re-fills over the degraded
-  /// graph) is served instead. Valid for the topology's lifetime.
+  /// The routing oracle of this topology. Every built-in family installs a
+  /// closed-form oracle at construction, which describes the fabric as
+  /// built. Once links have failed, a DegradedOracle over that closed form
+  /// is served instead: each field is the healthy closed-form fill plus an
+  /// exact decremental repair of the nodes the failed links push farther
+  /// away (closed_form() is false, so callers work field at a time through
+  /// dist_field). Only a topology without a closed form gets a BfsOracle,
+  /// which runs a whole-graph reverse BFS per field. Valid for the
+  /// topology's lifetime.
   const RoutingOracle& routing_oracle() const;
 
   // -- link faults ---------------------------------------------------------
@@ -189,8 +196,9 @@ class Topology {
   std::vector<NodeId> endpoints_;
   std::vector<std::int32_t> rank_of_node_;
   FaultSpec fault_spec_;
-  // Set by the family constructor (closed form) or lazily on first use
-  // (BFS fallback, guarded by oracle_once_).
+  // Set by the family constructor (closed form). fallback_oracle_ is made
+  // lazily on first use once it is needed (DegradedOracle over oracle_, or
+  // BfsOracle without one), guarded by oracle_once_.
   std::unique_ptr<RoutingOracle> oracle_;
   mutable std::unique_ptr<RoutingOracle> fallback_oracle_;
   mutable std::once_flag oracle_once_;

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -171,6 +172,72 @@ TEST(Cli, SweepTwiceHitsCacheWithIdenticalRows) {
             std::string::npos);
   // Byte-identical JSON rows, cold vs warm.
   EXPECT_EQ(warm.out, cold.out);
+}
+
+// Sets (or, with nullptr, unsets) an environment variable for one scope
+// and runs that scope from a fresh working directory, so the
+// .hxmesh-cache default lands somewhere the test owns.
+class CacheDirScope {
+ public:
+  CacheDirScope(const std::string& name, const char* env_dir)
+      : cwd_(std::filesystem::current_path()) {
+    if (const char* old = std::getenv("HXMESH_CACHE_DIR")) saved_ = old;
+    if (env_dir)
+      ::setenv("HXMESH_CACHE_DIR", env_dir, 1);
+    else
+      ::unsetenv("HXMESH_CACHE_DIR");
+    const std::string dir = fresh_dir(name);
+    std::filesystem::create_directories(dir);
+    std::filesystem::current_path(dir);
+  }
+  ~CacheDirScope() {
+    std::filesystem::current_path(cwd_);
+    if (saved_)
+      ::setenv("HXMESH_CACHE_DIR", saved_->c_str(), 1);
+    else
+      ::unsetenv("HXMESH_CACHE_DIR");
+  }
+
+ private:
+  std::filesystem::path cwd_;
+  std::optional<std::string> saved_;
+};
+
+// The cache directory is --cache-dir, else $HXMESH_CACHE_DIR, else
+// .hxmesh-cache; the stderr report names the one actually used, and the
+// entry lands there.
+void expect_cache_dir_order(const std::vector<std::string>& cell) {
+  const std::string env_dir = fresh_dir("cli_env_cache");
+  const std::string flag_dir = fresh_dir("cli_flag_cache");
+  auto uses = [](const CliOutcome& r, const std::string& dir) {
+    EXPECT_EQ(r.code, 0) << r.err;
+    EXPECT_NE(r.err.find("misses (0.0% hit rate) in " + dir + "\n"),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(std::filesystem::exists(dir)) << dir;
+  };
+  {
+    CacheDirScope scope("cli_cwd_env", env_dir.c_str());
+    std::vector<std::string> flagged = cell;
+    flagged.insert(flagged.end(), {"--cache-dir", flag_dir});
+    uses(run(flagged), flag_dir);
+    uses(run(cell), env_dir);
+    EXPECT_FALSE(std::filesystem::exists(".hxmesh-cache"));
+  }
+  {
+    CacheDirScope scope("cli_cwd_default", nullptr);
+    uses(run(cell), ".hxmesh-cache");
+  }
+}
+
+TEST(Cli, RunHonorsCacheDirFlagThenEnvThenDefault) {
+  expect_cache_dir_order({"run", "--topo", "hx2mesh:2x2", "--pattern",
+                          "shift:1:msg=64KiB", "--threads", "1"});
+}
+
+TEST(Cli, SweepHonorsCacheDirFlagThenEnvThenDefault) {
+  expect_cache_dir_order({"sweep", "--topo", "hx2mesh:2x2", "--pattern",
+                          "perm:msg=64KiB", "--seed", "4", "--threads", "1"});
 }
 
 TEST(Cli, SweepConfigFileDrivesTheGrid) {

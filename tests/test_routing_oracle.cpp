@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "engine/factory.hpp"
+#include "flow/patterns.hpp"
 #include "topo/dragonfly.hpp"
 #include "topo/fattree.hpp"
 #include "topo/hammingmesh.hpp"
@@ -233,21 +235,25 @@ TEST(RoutingOracle, CountersObserveFillsAndCacheHits) {
 }
 
 // ---------------------------------------------------- degraded fabrics --
-// Independent reference BFS over the faulted graph: plain queue sweep that
-// skips failed links, sharing no code with Graph::dist_to.
+// Independent reference BFS over the faulted graph: plain queue sweep over
+// an in-link table built from the link list, skipping failed links and
+// sharing no code with Graph::dist_to or the oracles.
 std::vector<std::int32_t> reference_bfs_to(const Graph& g, NodeId goal) {
+  std::vector<std::vector<NodeId>> in(g.num_nodes());
+  for (std::size_t l = 0; l < g.num_links(); ++l)
+    if (!g.link_failed(static_cast<LinkId>(l)))
+      in[g.link(static_cast<LinkId>(l)).dst].push_back(
+          g.link(static_cast<LinkId>(l)).src);
   std::vector<std::int32_t> dist(g.num_nodes(), -1);
   std::vector<NodeId> queue{goal};
   dist[goal] = 0;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const NodeId u = queue[head];
     // Reverse BFS: relax over in-links (v -> u means dist[v] <= dist[u]+1).
-    for (std::size_t l = 0; l < g.num_links(); ++l) {
-      const Link& lnk = g.link(static_cast<LinkId>(l));
-      if (lnk.dst != u || g.link_failed(static_cast<LinkId>(l))) continue;
-      if (dist[lnk.src] >= 0) continue;
-      dist[lnk.src] = dist[u] + 1;
-      queue.push_back(lnk.src);
+    for (NodeId v : in[u]) {
+      if (dist[v] >= 0) continue;
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
     }
   }
   return dist;
@@ -291,8 +297,68 @@ TEST(RoutingOracle, DegradedGraphsMatchReferenceBfs) {
   }
 }
 
-// Faults flip the serving oracle to the BFS fallback; sampled minimal
-// paths stay valid (connected, healthy links only, reference-BFS length).
+// Fraction faults knock out 5% and 10% of all cables, so failed links
+// sit on each other's repaired paths and repairs cascade through regions
+// of several nodes. Every destination of every family is checked against
+// the reference BFS — partitioned remnants included, where the repaired
+// field must say -1 exactly where the BFS does.
+TEST(RoutingOracle, DegradedFieldsMatchReferenceBfsAtEveryDestination) {
+  for (const char* fraction : {"0.05", "0.1"}) {
+    for (int seed : {3, 7}) {
+      for (const auto& [name, t] : oracle_zoo()) {
+        const std::string spec = std::string("faults=links:") + fraction +
+                                 ":seed=" + std::to_string(seed);
+        t->apply_faults(FaultSpec::parse(spec));
+        if (!t->faulted()) continue;  // no cable drew a fault
+        const RoutingOracle& oracle = t->routing_oracle();
+        ASSERT_NE(dynamic_cast<const DegradedOracle*>(&oracle), nullptr)
+            << name << ": a faulted family must keep its closed form";
+        std::vector<std::int32_t> field;
+        for (int dst = 0; dst < t->num_endpoints(); ++dst) {
+          const NodeId goal = t->endpoint_node(dst);
+          oracle.fill(goal, field);
+          ASSERT_EQ(field, reference_bfs_to(t->graph(), goal))
+              << name << " (" << spec << "): repaired field toward endpoint "
+              << dst << " diverged from the reference BFS";
+        }
+      }
+    }
+  }
+}
+
+// The HyperX oracle once asked the virtual hop_distance, which on a faulted
+// HyperX routes back into the served oracle without bound. Distances on a
+// faulted HyperX must terminate and be exact.
+TEST(RoutingOracle, FaultedHyperXDistancesTerminateAndMatchBfs) {
+  auto t = engine::make_topology("hyperx:16x16:faults=links:40:seed=5");
+  ASSERT_TRUE(t->faulted());
+  for (int dst = 0; dst < t->num_endpoints(); dst += 37) {
+    const auto ref = reference_bfs_to(t->graph(), t->endpoint_node(dst));
+    for (int src = 0; src < t->num_endpoints(); src += 11)
+      ASSERT_EQ(t->hop_distance(src, dst), ref[t->endpoint_node(src)])
+          << src << "->" << dst;
+  }
+}
+
+// A faulted flow cell renders every field through the repaired closed
+// form: oracle fills grow, reverse-BFS fills stay flat.
+TEST(RoutingOracle, FaultedFlowCellRunsWithoutBfsFills) {
+  auto t = engine::make_topology("hx2mesh:8x8:faults=links:8:seed=3");
+  ASSERT_TRUE(t->faulted());
+  auto engine = engine::make_engine("flow", *t);
+  const RoutingCounters before = routing_counters();
+  for (const char* pattern : {"allreduce", "perm"})
+    EXPECT_TRUE(engine->run(flow::parse_traffic(pattern)).numerics_ok)
+        << pattern;
+  const RoutingCounters after = routing_counters();
+  EXPECT_GT(after.oracle_fills, before.oracle_fills);
+  EXPECT_EQ(after.bfs_fills, before.bfs_fills)
+      << "a faulted HammingMesh fell back to whole-graph BFS";
+}
+
+// Faults flip the serving oracle to the repaired closed form; sampled
+// minimal paths stay valid (connected, healthy links only, reference-BFS
+// length).
 TEST(RoutingOracle, DegradedSampledPathsAvoidFailedLinks) {
   for (const auto& [name, t] : oracle_zoo()) {
     t->apply_faults(FaultSpec::parse("faults=links:3:seed=5"));
@@ -331,6 +397,31 @@ TEST(RoutingOracle, DegradedUnreachableEndpointThrowsTypedError) {
   hx.fail_links(cut);
   EXPECT_THROW((void)hx.dist_field(hx.endpoint_node(0)), DisconnectedError);
   EXPECT_THROW((void)hx.dist_field(hx.endpoint_node(3)), DisconnectedError);
+}
+
+// Cutting a whole board off its rails partitions the machine: the repair
+// must leave -1 on every node of the cut-off side (exactly where the
+// reference BFS does), and dist_field must raise the typed error on both
+// sides of the cut.
+TEST(RoutingOracle, RepairedFieldOfAPartitionThrowsTypedError) {
+  HammingMesh hx({.a = 2, .b = 2, .x = 3, .y = 3});
+  const Graph& g = hx.graph();
+  std::vector<LinkId> cut;
+  for (int rank = 0; rank < hx.num_endpoints(); ++rank) {
+    if (hx.board_x_of(rank) != 0 || hx.board_y_of(rank) != 0) continue;
+    for (LinkId l : g.out_links(hx.endpoint_node(rank)))
+      if (g.kind(g.link(l).dst) == NodeKind::kSwitch) cut.push_back(l);
+  }
+  ASSERT_FALSE(cut.empty());
+  hx.fail_links(cut);
+
+  const NodeId outside = hx.endpoint_node(hx.num_endpoints() - 1);
+  std::vector<std::int32_t> field;
+  hx.routing_oracle().fill(outside, field);
+  EXPECT_EQ(field, reference_bfs_to(g, outside));
+  EXPECT_EQ(field[hx.endpoint_node(0)], -1);
+  EXPECT_THROW((void)hx.dist_field(outside), DisconnectedError);
+  EXPECT_THROW((void)hx.dist_field(hx.endpoint_node(0)), DisconnectedError);
 }
 
 }  // namespace
