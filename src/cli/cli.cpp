@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "cli/fabric.hpp"
 #include "core/chaos.hpp"
 #include "core/fsio.hpp"
 #include "core/hash.hpp"
@@ -40,7 +39,6 @@ subcommands:
          [--label L]* [--config FILE.json] [--json PATH]
          [--shards N | --micro-shards M] [--workers K] [--retries R]
          [--shard-timeout SEC] [--retry-backoff SEC] [--progress]
-         [--hosts H1:P1,H2:P2] [--lease-timeout SEC] [--blacklist-after N]
          run the full topology x engine x pattern x seed grid
          (no --seed: each pattern's own seed= applies, default 1).
          With --shards: partition the grid into N contiguous shards,
@@ -55,22 +53,7 @@ subcommands:
          do not serialize the tail. --shard-timeout arms a watchdog:
          a shard past its deadline gets SIGTERM, then SIGKILL after a
          grace period, and reports 'timed-out'. --progress reports each
-         shard attempt as it completes (stderr). --hosts adds remote
-         'hxmesh serve' daemons as extra worker slots: shards lease to
-         them over TCP, results stream back as checksum-verified cache
-         blobs, and a host that keeps faulting (connect failures, lease
-         deadlines, corrupt blobs) is blacklisted after --blacklist-after
-         consecutive faults (default 3) — the sweep degrades to the
-         local workers and still completes. --lease-timeout bounds one
-         remote job exchange (default: --shard-timeout + 6s, else 30s)
-  serve  [--port N] [--bind ADDR] [--cache-dir DIR] [--threads N]
-         [--max-jobs N] [--port-file PATH]
-         run a shard-execution daemon: accepts job leases from a
-         'sweep --hosts' orchestrator, runs each as a watched local
-         'hxmesh shard' child, and streams back the coverage manifest
-         plus the result blobs (port 0 = pick one and print it;
-         --max-jobs N exits after N jobs and --port-file writes the
-         bound port to PATH, both for harnesses)
+         shard attempt as it completes (stderr)
   shard  --shards N --shard I [grid flags as for sweep] [--manifest PATH]
          [--weighted] [--attempt A]
          run one shard of the grid: simulate its cells, store them as
@@ -88,12 +71,10 @@ subcommands:
 environment:
   HXMESH_CACHE_DIR  result cache location when --cache-dir is not given
   HXMESH_CHAOS      deterministic fault injection. kill:<p> and hang:<p>
-                    make 'hxmesh shard' workers self-SIGKILL or hang;
-                    drop:<p> and delay:<p> make the --hosts dispatcher
-                    drop or delay the network exchange of a (host,
-                    shard, attempt) lease. All decisions are pure
-                    functions of the spec (plus seed=S), so a fixed
-                    seed replays the same fault schedule
+                    make 'hxmesh shard' workers self-SIGKILL or hang.
+                    Every decision is a pure function of the spec (plus
+                    seed=S), shard and attempt, so a fixed seed replays
+                    the same fault schedule
 
 common options:
   --json PATH       write rows as a JSON array to PATH ('-' = stdout)
@@ -190,10 +171,6 @@ struct SweepOptions {
   double retry_backoff_s = 0.25; // sweep: base retry delay
   bool weighted = false;         // shard: take the cost-balanced block
   int attempt = 0;               // shard: attempt number (0 = unset -> 1)
-  // Distributed dispatch (sweep --hosts).
-  std::string hosts;             // comma-separated host:port daemon list
-  double lease_timeout_s = 0;    // one remote exchange (0 = derived)
-  unsigned blacklist_after = 0;  // consecutive host faults (0 = default 3)
 };
 
 // Reads one string-array member of a config object into `out` (appending).
@@ -336,16 +313,13 @@ void report_routing(std::ostream& out) {
 // Batched-execution observability: how much per-cell setup the topology
 // groups amortized (builds + engine setup reused by co-scheduled cells;
 // the dist-cache hits of the routing line are the amortized fills/route
-// tables) and how the flow solver's filling rounds executed.
+// tables).
 void report_batching(std::ostream& out) {
   const engine::BatchCounters b = engine::batch_counters();
-  const flow::SolverCounters s = flow::solver_counters();
   out << "batch: " << b.topo_groups << " topology groups, "
       << b.topo_builds_saved << " builds saved, " << b.engines_saved
       << " engine setups reused, " << b.cells_executed
-      << " cells executed (this process)\n"
-      << "solver rounds: " << s.rounds_parallel << " parallel, "
-      << s.rounds_serial << " serial (this process)\n";
+      << " cells executed (this process)\n";
 }
 
 void report_cache(const engine::ResultCache& cache, std::ostream& err) {
@@ -400,22 +374,13 @@ int do_sweep_sharded(const SweepOptions& opt,
   const engine::GridPlan plan(grids);
   const std::string fingerprint = plan.fingerprint();
   ensure_dir(shard_meta_dir(opt.cache_dir));
-  // Created up front: the remote dispatch path admits wire blobs into
-  // this store as leases complete, and the final merge reads through it.
-  engine::ResultCache cache(opt.cache_dir);
 
   // Parent and children must agree on the grid byte for byte, so the
   // orchestrator writes the canonical grids document and every worker
-  // parses that file instead of re-receiving axis flags. The same
-  // document rides inside every remote job lease.
-  const std::string grids_text = render_grids_json(grids);
+  // parses that file instead of re-receiving axis flags.
   const std::string grid_file =
       shard_meta_dir(opt.cache_dir) + "/" + fingerprint + ".grid.json";
-  write_file_atomic(grid_file, grids_text);
-
-  const std::vector<engine::HostSpec> host_specs =
-      opt.hosts.empty() ? std::vector<engine::HostSpec>{}
-                        : engine::parse_hosts(opt.hosts);
+  write_file_atomic(grid_file, render_grids_json(grids));
 
   std::vector<std::string> manifest_paths;
   manifest_paths.reserve(opt.shards);
@@ -549,88 +514,8 @@ int do_sweep_sharded(const SweepOptions& opt,
   // the same backoff schedule.
   policy.seed = Fnv1a().update(fingerprint).digest();
 
-  // Remote dispatch: each host is one extra worker slot driven by the
-  // engine's health state machine. Network chaos (drop/delay) applies
-  // here, on the orchestrator side of the wire.
-  ChaosSpec net_chaos;
-  if (const char* env = std::getenv("HXMESH_CHAOS");
-      env && *env && !host_specs.empty()) {
-    // Lenient on purpose: the shard children validate the spec and turn a
-    // malformed one into their exit-2 permanent config error, which is
-    // the report the user should see — not an orchestrator-side throw
-    // before any shard has run.
-    try {
-      net_chaos = parse_chaos(env);
-    } catch (const std::exception&) {
-    }
-  }
-  const double lease_s =
-      opt.lease_timeout_s > 0
-          ? opt.lease_timeout_s
-          : (opt.shard_timeout_s > 0 ? opt.shard_timeout_s + 6.0 : 30.0);
-  engine::HostPolicy host_policy;
-  if (opt.blacklist_after > 0)
-    host_policy.blacklist_after = opt.blacklist_after;
-  host_policy.seed = policy.seed;
-
-  auto remote = [&](unsigned h, unsigned shard, int attempt) {
-    if (net_chaos.net_enabled()) {
-      const NetChaosAction act =
-          chaos_net_action(net_chaos, h, shard, attempt);
-      if (act != NetChaosAction::kNone) {
-        std::lock_guard lock(progress_mutex);
-        err << "chaos: host " << host_specs[h].name() << " shard " << shard
-            << " attempt " << attempt << ": " << net_chaos_action_name(act)
-            << "\n";
-        err.flush();
-      }
-      if (act == NetChaosAction::kDrop) {
-        engine::ShardAttempt a;
-        a.outcome = engine::ShardOutcome::kSpawnFailed;
-        a.error = "chaos: dropped connection";
-        a.host_fault = true;
-        return a;
-      }
-      if (act == NetChaosAction::kDelay)
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(kNetChaosDelayS));
-    }
-    FabricJob job;
-    job.fingerprint = fingerprint;
-    job.grids_json = grids_text;
-    job.shards = opt.shards;
-    job.shard = shard;
-    job.attempt = attempt;
-    job.weighted = opt.weighted;
-    job.timeout_s = opt.shard_timeout_s;
-    FabricResult r = fabric_run_job(host_specs[h], job, lease_s);
-    if (!r.attempt.ok()) return r.attempt;
-    // Admission control: every remote blob must re-verify its content
-    // checksum before it may enter the shared store. One bad blob voids
-    // the whole lease — the shard is re-leased and recomputed, never
-    // replayed from the corrupt bytes.
-    for (const auto& [key, text] : r.blobs)
-      if (!cache.adopt_blob(key, text)) {
-        engine::ShardAttempt a;
-        a.outcome = engine::ShardOutcome::kSpawnFailed;
-        a.error = "corrupt wire blob for cell " + key;
-        a.host_fault = true;
-        return a;
-      }
-    write_file_atomic(manifest_paths[shard], r.manifest_json);
-    return r.attempt;
-  };
-  auto probe = [&](unsigned h) { return fabric_ping(host_specs[h], 2.0); };
-
-  std::vector<engine::HostReport> host_reports;
-  const auto runs =
-      host_specs.empty()
-          ? engine::run_shard_jobs(opt.shards, workers, policy, launch,
-                                   progress, order)
-          : engine::run_shard_jobs_distributed(
-                opt.shards, workers, policy, launch,
-                static_cast<unsigned>(host_specs.size()), remote, probe,
-                host_policy, &host_reports, progress, order);
+  const auto runs = engine::run_shard_jobs(opt.shards, workers, policy,
+                                           launch, progress, order);
   unsigned failed = 0;
   for (const engine::ShardRun& run : runs) {
     if (run.ok() && run.attempts > 1)
@@ -651,27 +536,6 @@ int do_sweep_sharded(const SweepOptions& opt,
       if (!run.error.empty()) err << ": " << run.error;
       err << "\n";
     }
-  }
-  if (!host_specs.empty()) {
-    unsigned blacklisted = 0;
-    for (std::size_t h = 0; h < host_specs.size(); ++h) {
-      const engine::HostReport& rep = host_reports[h];
-      err << "host " << host_specs[h].name() << ": " << rep.dispatched
-          << " leased, " << rep.completed << " completed, "
-          << rep.job_failures << " job failure(s), " << rep.faults
-          << " fault(s)";
-      if (rep.blacklisted) {
-        err << " — blacklisted";
-        ++blacklisted;
-      }
-      if (!rep.last_error.empty()) err << " (last: " << rep.last_error << ")";
-      err << "\n";
-    }
-    if (blacklisted == host_specs.size())
-      err << "hosts: all " << host_specs.size()
-          << " blacklisted — degraded to local-only execution\n";
-    err << "wire: " << cache.adopted_blobs() << " adopted, "
-        << cache.rejected_blobs() << " rejected remote blob(s)\n";
   }
   if (failed > 0)
     throw std::runtime_error("sweep: " + std::to_string(failed) +
@@ -696,14 +560,14 @@ int do_sweep_sharded(const SweepOptions& opt,
     computed += m.computed;
   }
   err << "shards: " << opt.shards << " ok over " << workers
-      << " worker(s)";
-  if (!host_specs.empty()) err << " + " << host_specs.size() << " host(s)";
-  err << "; cells: " << hits << " hits, " << computed << " computed\n";
+      << " worker(s); cells: " << hits << " hits, " << computed
+      << " computed\n";
 
   // Merge: re-read the whole plan through the cache the workers filled.
   // Every cell hits, and %.17g entry rendering makes the merged rows
   // byte-identical to a single-process run of the same grid.
   engine::ExperimentHarness harness(opt.threads);
+  engine::ResultCache cache(opt.cache_dir);
   const auto rows = harness.run_cells(plan, 0, plan.total_cells(), &cache);
   emit_rows(rows, opt.json_path, out, err);
   report_cache(cache, err);
@@ -726,10 +590,6 @@ int do_sweep(SweepOptions opt, std::ostream& out, std::ostream& err) {
   }
   if (opt.shards == 0 && opt.shard_timeout_s > 0)
     usage_error("sweep: --shard-timeout needs --shards or --micro-shards");
-  if (opt.shards == 0 && !opt.hosts.empty())
-    usage_error("sweep: --hosts needs --shards or --micro-shards");
-  if (opt.hosts.empty() && (opt.lease_timeout_s > 0 || opt.blacklist_after))
-    usage_error("sweep: --lease-timeout/--blacklist-after need --hosts");
   const auto grids = final_grids(opt);
   if (opt.shards > 0) return do_sweep_sharded(opt, grids, out, err);
 
@@ -757,8 +617,6 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
   if (opt.micro_shards > 0 || opt.shard_timeout_s > 0)
     usage_error("shard: --micro-shards/--shard-timeout apply to the sweep "
                 "orchestrator");
-  if (!opt.hosts.empty() || opt.lease_timeout_s > 0 || opt.blacklist_after)
-    usage_error("shard: --hosts flags apply to the sweep orchestrator");
   const int attempt = opt.attempt > 0 ? opt.attempt : 1;
 
   // Deterministic fault injection: a malformed spec is a config error
@@ -804,8 +662,7 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
 // difference is output shape (one object, not an array).
 int do_run(SweepOptions opt, std::ostream& out, std::ostream& err) {
   if (opt.shards != 0 || opt.shard_index >= 0 || opt.micro_shards != 0 ||
-      opt.shard_timeout_s > 0 || opt.weighted || opt.attempt != 0 ||
-      !opt.hosts.empty() || opt.lease_timeout_s > 0 || opt.blacklist_after)
+      opt.shard_timeout_s > 0 || opt.weighted || opt.attempt != 0)
     usage_error("run: sharding flags apply to sweep and shard only");
   if (opt.progress)
     usage_error("run: --progress applies to the sweep orchestrator");
@@ -890,13 +747,6 @@ SweepOptions parse_grid_flags(const std::vector<std::string>& args,
       opt.shard_timeout_s = parse_seconds(flag, need_value(args, i));
     else if (flag == "--retry-backoff")
       opt.retry_backoff_s = parse_seconds(flag, need_value(args, i));
-    else if (flag == "--hosts")
-      opt.hosts = need_value(args, i);
-    else if (flag == "--lease-timeout")
-      opt.lease_timeout_s = parse_seconds(flag, need_value(args, i));
-    else if (flag == "--blacklist-after")
-      opt.blacklist_after = static_cast<unsigned>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
     else if (flag == "--weighted")
       opt.weighted = true;
     else if (flag == "--attempt")
@@ -907,32 +757,6 @@ SweepOptions parse_grid_flags(const std::vector<std::string>& args,
   }
   if (!config_path.empty()) merge_config_file(config_path, &opt);
   return opt;
-}
-
-int do_serve(const std::vector<std::string>& args, std::size_t start,
-             std::ostream& err) {
-  ServeOptions opt;
-  for (std::size_t i = start; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--port")
-      opt.port =
-          static_cast<int>(parse_bounded(flag, need_value(args, i), 65535));
-    else if (flag == "--bind")
-      opt.bind = need_value(args, i);
-    else if (flag == "--cache-dir")
-      opt.cache_dir = need_value(args, i);
-    else if (flag == "--threads")
-      opt.threads = static_cast<int>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
-    else if (flag == "--max-jobs")
-      opt.max_jobs = static_cast<unsigned>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
-    else if (flag == "--port-file")
-      opt.port_file = need_value(args, i);
-    else
-      usage_error("serve: unknown flag '" + flag + "'");
-  }
-  return serve_daemon(opt, err);
 }
 
 int do_ls(const std::vector<std::string>& args, std::size_t start,
@@ -1027,7 +851,6 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
   if (cmd == "run") return do_run(parse_grid_flags(args, 1), out, err);
   if (cmd == "sweep") return do_sweep(parse_grid_flags(args, 1), out, err);
   if (cmd == "shard") return do_shard(parse_grid_flags(args, 1), out, err);
-  if (cmd == "serve") return do_serve(args, 1, err);
   if (cmd == "ls") return do_ls(args, 1, out);
   if (cmd == "cache") return do_cache(args, 1, out);
   usage_error("unknown subcommand '" + cmd + "'");

@@ -195,24 +195,6 @@ void ResultCache::store(const std::string& key, const RunResult& result) const {
   write_file_atomic(entry_path(key), render_result(result));
 }
 
-bool ResultCache::blob_checksum_ok(const std::string& text) {
-  return checksum_valid(text);
-}
-
-std::optional<std::string> ResultCache::read_blob(const std::string& key) const {
-  return read_file(entry_path(key));
-}
-
-bool ResultCache::adopt_blob(const std::string& key, const std::string& text) {
-  if (!checksum_valid(text)) {
-    rejected_blobs_.fetch_add(1);
-    return false;
-  }
-  write_file_atomic(entry_path(key), text);
-  adopted_blobs_.fetch_add(1);
-  return true;
-}
-
 ResultCache::Stats ResultCache::stats() const {
   Stats stats;
   for (const std::string& path : list_files(dir_)) {

@@ -17,7 +17,7 @@
 /// \file
 /// \brief ResultCache — content-addressed, on-disk memoization of
 /// RunResults, with age/LRU pruning. The shared store doubles as the
-/// wire format of the sharded execution backend.
+/// hand-off format of sharded sweeps.
 
 #include <atomic>
 #include <cstdint>
@@ -95,25 +95,6 @@ class ResultCache {
   /// entry's FNV-1a content checksum.
   void store(const std::string& key, const RunResult& result) const;
 
-  // -- wire blobs (the distributed backend's transfer format) -------------
-
-  /// True when `text` is a complete entry whose trailing FNV-1a checksum
-  /// matches the bytes before it — the admission test every remote blob
-  /// must pass before it may enter this store.
-  static bool blob_checksum_ok(const std::string& text);
-
-  /// Raw entry text for `key` (exactly the bytes store() wrote), or
-  /// nullopt when absent. This is what an `hxmesh serve` daemon streams
-  /// back to the orchestrator; no counters move.
-  std::optional<std::string> read_blob(const std::string& key) const;
-
-  /// Verifies and stores a wire blob received from a remote worker.
-  /// Returns false — writing nothing — when the checksum does not match:
-  /// a corrupt wire blob is rejected at the door and the cell is
-  /// recomputed by a re-lease, never replayed from the bad bytes. Counts
-  /// adopted and rejected blobs for the integrity report.
-  bool adopt_blob(const std::string& key, const std::string& text);
-
   // -- session counters (since construction) ------------------------------
   std::size_t hits() const { return hits_.load(); }
   std::size_t misses() const { return misses_.load(); }
@@ -122,10 +103,6 @@ class ResultCache {
   std::size_t verified_hits() const { return verified_hits_.load(); }
   /// Corrupt entries moved to quarantine by this process.
   std::size_t quarantined() const { return quarantined_.load(); }
-  /// Remote wire blobs verified and written by adopt_blob().
-  std::size_t adopted_blobs() const { return adopted_blobs_.load(); }
-  /// Remote wire blobs rejected by adopt_blob() (checksum mismatch).
-  std::size_t rejected_blobs() const { return rejected_blobs_.load(); }
 
   // -- maintenance (the CLI's `cache` subcommand) -------------------------
   struct Stats {
@@ -176,8 +153,6 @@ class ResultCache {
   std::atomic<std::size_t> misses_{0};
   std::atomic<std::size_t> verified_hits_{0};
   std::atomic<std::size_t> quarantined_{0};
-  std::atomic<std::size_t> adopted_blobs_{0};
-  std::atomic<std::size_t> rejected_blobs_{0};
 };
 
 }  // namespace hxmesh::engine

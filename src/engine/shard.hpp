@@ -13,17 +13,7 @@
 //
 // The orchestrator half (run_shard_jobs) is process-agnostic: it drives
 // any launcher callback with a bounded worker pool and per-shard retries.
-// The CLI wires it to fork/exec'd `hxmesh shard` children locally, and —
-// through run_shard_jobs_distributed — to `hxmesh serve` daemons on
-// remote hosts, which act as extra worker slots beside the local ones.
-// The distributed layer stays transport-agnostic: remote dispatch and
-// heartbeat probing are callbacks, so the host health state machine
-// (lease → fault → jittered reconnect → blacklist → re-lease to healthy
-// workers) is testable without a single socket. A failure charged to the
-// *host* (connection refused, lease deadline, corrupt wire blob) never
-// burns the shard's retry budget — the shard is simply re-leased — while
-// a failure of the *job itself* (nonzero exit, chaos kill, watchdog
-// timeout) is charged to the shard exactly as in the local path.
+// The CLI wires it to fork/exec'd `hxmesh shard` children.
 #pragma once
 
 /// \file
@@ -105,11 +95,6 @@ struct ShardAttempt {
   ShardOutcome outcome = ShardOutcome::kSpawnFailed;
   int exit_code = -1;  ///< meaningful when outcome == kExited
   std::string error;   ///< human-readable failure text ("" on success)
-  /// True when the failure belongs to the transport or host, not the job
-  /// (connection refused, lease deadline expired, corrupt wire blob).
-  /// The orchestrator re-leases the shard without consuming one of its
-  /// attempts and charges the host's health instead.
-  bool host_fault = false;
 
   bool ok() const { return outcome == ShardOutcome::kExited && exit_code == 0; }
 };
@@ -194,86 +179,5 @@ std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
                                      const ShardLauncher& launch,
                                      const ShardProgress& progress = nullptr,
                                      const std::vector<unsigned>& order = {});
-
-// -- distributed dispatch: remote hosts as extra worker slots -------------
-
-/// \brief One remote worker endpoint (`host:port` in `--hosts`).
-struct HostSpec {
-  std::string host;  ///< hostname or address literal
-  int port = 0;      ///< TCP port of the `hxmesh serve` daemon
-
-  std::string name() const { return host + ":" + std::to_string(port); }
-};
-
-/// \brief Parses a `--hosts` list: comma-separated `host:port` entries
-/// (an IPv6 literal may be bracketed, `[::1]:9000`).
-/// \throws std::invalid_argument on an empty entry, a missing port, or a
-/// port outside [1, 65535].
-std::vector<HostSpec> parse_hosts(const std::string& text);
-
-/// \brief Health discipline of the host pool.
-struct HostPolicy {
-  /// Consecutive host faults (failed probes, dropped connections,
-  /// expired leases, corrupt blobs) before the host is blacklisted for
-  /// the rest of the sweep. Successes reset the streak.
-  unsigned blacklist_after = 3;
-  double reconnect_base_s = 0.1;  ///< first reconnect delay; 0 = none
-  double reconnect_max_s = 1.0;   ///< exponential growth cap
-  std::uint64_t seed = 0;         ///< jitter seed (deterministic per run)
-};
-
-/// \brief Deterministic jittered backoff before reconnect `fault` (the
-/// 1-based consecutive-fault count) of `host` — same shape as
-/// retry_backoff_s, hashed from (seed, host, fault) so reconnect storms
-/// spread out and a rerun replays the same waits.
-double reconnect_backoff_s(const HostPolicy& policy, unsigned host,
-                           unsigned fault);
-
-/// \brief Per-host tally of one distributed run, for the sweep's host
-/// report.
-struct HostReport {
-  std::string name;          ///< HostSpec::name()
-  unsigned dispatched = 0;   ///< job leases handed to this host
-  unsigned completed = 0;    ///< leases that returned a verified result
-  unsigned job_failures = 0; ///< jobs that ran and failed (shard-charged)
-  unsigned faults = 0;       ///< host faults (probe, connect, lease, blob)
-  bool blacklisted = false;  ///< quarantined for the rest of the run
-  std::string last_error;    ///< most recent fault or failure text
-};
-
-/// \brief Remote launcher: leases shard attempt `attempt` to host
-/// `host` and reports how the exchange ended (ShardAttempt::host_fault
-/// distinguishes transport failures from job failures). Must be
-/// thread-safe; one invocation per host runs at a time.
-using RemoteLauncher =
-    std::function<ShardAttempt(unsigned host, unsigned shard, int attempt)>;
-
-/// \brief Heartbeat probe: true when `host` answers. Called before a
-/// host's first lease and after every fault, so a dead daemon is noticed
-/// by the probe loop — under reconnect backoff — instead of burning
-/// leases. A probe that throws counts as false.
-using HostProbe = std::function<bool(unsigned host)>;
-
-/// \brief run_shard_jobs with `hosts` remote worker slots beside
-/// `local_workers` local ones.
-///
-/// Each host gets one dispatcher thread running the health state
-/// machine: probe until healthy (jittered reconnect backoff between
-/// consecutive faults), then lease shards from the shared queue. A host
-/// fault re-leases the in-flight shard to the healthy workers — the
-/// shard's attempt count is NOT consumed — and sends the host back to
-/// probing; `policy.blacklist_after` consecutive faults quarantine the
-/// host for the rest of the run. With every host blacklisted the sweep
-/// degrades to local-only execution and still completes (there is always
-/// at least one local worker). Job failures behave exactly as in
-/// run_shard_jobs, including the permanent exit-2 abort. `reports`, when
-/// non-null, receives one HostReport per host.
-std::vector<ShardRun> run_shard_jobs_distributed(
-    unsigned shards, unsigned local_workers, const RetryPolicy& policy,
-    const ShardLauncher& local_launch, unsigned hosts,
-    const RemoteLauncher& remote_launch, const HostProbe& probe,
-    const HostPolicy& host_policy, std::vector<HostReport>* reports,
-    const ShardProgress& progress = nullptr,
-    const std::vector<unsigned>& order = {});
 
 }  // namespace hxmesh::engine

@@ -1,13 +1,10 @@
 #include "flow/flow_sim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "core/thread_pool.hpp"
@@ -22,25 +19,7 @@ constexpr std::size_t kSampleChunk = 256;
 // sampled paths are identical either way (per-flow substreams), so the
 // threshold shapes only wall-clock.
 constexpr std::size_t kParallelSamplingMin = 2048;
-
-// Active links per round-pass job. Fixed size — chunk boundaries depend
-// only on the (deterministic) active-link array, never on the worker
-// count, which is what keeps the chunked reduction bit-identical for any
-// solve_threads.
-constexpr std::size_t kRoundChunk = 8192;
-// Below this many active links the per-round pool dispatch costs more
-// than the passes; such rounds run the serial loop. Purely a wall-clock
-// threshold: both paths compute identical bits, so it can differ between
-// rounds of one solve without affecting rates.
-constexpr std::size_t kParallelRoundsMin = 2 * kRoundChunk;
-
-std::atomic<std::uint64_t> g_rounds_parallel{0};
-std::atomic<std::uint64_t> g_rounds_serial{0};
 }  // namespace
-
-SolverCounters solver_counters() {
-  return {g_rounds_parallel.load(), g_rounds_serial.load()};
-}
 
 FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
     : topology_(topology), config_(config) {}
@@ -56,10 +35,6 @@ FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
 // freeze time — the same left-to-right float additions the per-subflow
 // accumulation performed — so the computed rates are bit-identical to the
 // full-rescan formulation, round for round.
-//
-// Large rounds additionally fan both active-link passes over a thread
-// pool in fixed-size chunks reduced in chunk-index order; see the chunked
-// lambdas below for why that is bit-identical to the serial loop.
 void FlowSolver::solve(std::vector<Flow>& flows,
                        topo::RouteMode route) const {
   const topo::Graph& g = topology_.graph();
@@ -187,32 +162,12 @@ void FlowSolver::solve(std::vector<Flow>& flows,
       --active_count[path_links[first + i]];
   };
 
-  // The round pool, created once if any round is big enough to fan out.
-  // Worker count never changes the computed rates, so the decision can be
-  // taken per round without affecting determinism.
-  std::optional<ThreadPool> round_pool;
-  const bool rounds_may_parallelize =
-      config_.solve_threads != 1 && active_links.size() >= kParallelRoundsMin;
-  // Per-chunk partials, reused across rounds: saturated links, surviving
-  // links, and the surviving fair-share minimum of each chunk.
-  std::vector<std::vector<std::uint32_t>> sat_chunks;
-  std::vector<std::vector<std::uint32_t>> keep_chunks;
-  std::vector<double> chunk_min;
-  std::uint64_t rounds_parallel = 0, rounds_serial = 0;
-
   // Each round is two passes over the active links: (1) apply the fill
   // delta and collect the links it saturated, (2) drop the links whose
   // crossers all froze while computing the next round's fair-share
   // minimum from the surviving values. Both use exactly the per-link
   // arithmetic of the one-pass-per-phase formulation, so deltas — and
   // therefore every rate — are bit-identical to it.
-  //
-  // Parallel rounds split the active-link array into kRoundChunk-sized
-  // chunks (boundaries a pure function of the array length): every link
-  // is updated by exactly one chunk with the identical arithmetic, each
-  // chunk's saturated/survivor partials preserve the array order, and
-  // concatenating (and min-reducing) the partials in chunk-index order
-  // reproduces the serial scan's output exactly.
   std::vector<std::uint32_t> saturated;
   double delta = std::numeric_limits<double>::infinity();
   for (std::uint32_t l : active_links)
@@ -230,90 +185,31 @@ void FlowSolver::solve(std::vector<Flow>& flows,
       break;
     }
 
-    const std::size_t nactive = active_links.size();
-    const bool parallel_round =
-        rounds_may_parallelize && nactive >= kParallelRoundsMin;
-    if (parallel_round && !round_pool) round_pool.emplace(config_.solve_threads);
-
     // A link is saturated when its residual share is (numerically) gone;
     // every unfrozen subflow crossing it freezes this round. The frozen
     // subflows' other links lose active crossers and may drop out of the
     // compaction below without ever saturating themselves.
     saturated.clear();
-    if (parallel_round) {
-      ++rounds_parallel;
-      const std::size_t rchunks = (nactive + kRoundChunk - 1) / kRoundChunk;
-      if (sat_chunks.size() < rchunks) {
-        sat_chunks.resize(rchunks);
-        keep_chunks.resize(rchunks);
-        chunk_min.resize(rchunks);
-      }
-      round_pool->parallel_for(rchunks, [&](std::size_t c) {
-        std::vector<std::uint32_t>& sat = sat_chunks[c];
-        sat.clear();
-        const std::size_t lo = c * kRoundChunk;
-        const std::size_t hi = std::min(nactive, lo + kRoundChunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::uint32_t l = active_links[i];
-          const double r = residual[l] - delta * active_count[l];
-          residual[l] = r;
-          if (r <= eps) sat.push_back(l);
-        }
-      });
-      for (std::size_t c = 0; c < rchunks; ++c)
-        saturated.insert(saturated.end(), sat_chunks[c].begin(),
-                         sat_chunks[c].end());
-    } else {
-      ++rounds_serial;
-      for (std::uint32_t l : active_links) {
-        const double r = residual[l] - delta * active_count[l];
-        residual[l] = r;
-        if (r <= eps) saturated.push_back(l);
-      }
+    for (std::uint32_t l : active_links) {
+      const double r = residual[l] - delta * active_count[l];
+      residual[l] = r;
+      if (r <= eps) saturated.push_back(l);
     }
-    // Freezing stays serial: it is O(frozen subflows' path links), which
-    // sums to the total incidence count over the whole solve, and its
-    // active_count decrements feed the very next pass.
+    // Freezing is O(frozen subflows' path links), which sums to the total
+    // incidence count over the whole solve; its active_count decrements
+    // feed the very next pass.
     for (std::uint32_t l : saturated)
       for (std::uint32_t i = link_off[l]; i < link_off[l + 1]; ++i)
         if (active[link_subs[i]]) freeze(link_subs[i]);
 
     double next = std::numeric_limits<double>::infinity();
-    if (parallel_round) {
-      const std::size_t rchunks = (nactive + kRoundChunk - 1) / kRoundChunk;
-      round_pool->parallel_for(rchunks, [&](std::size_t c) {
-        std::vector<std::uint32_t>& keep = keep_chunks[c];
-        keep.clear();
-        double m = std::numeric_limits<double>::infinity();
-        const std::size_t lo = c * kRoundChunk;
-        const std::size_t hi = std::min(nactive, lo + kRoundChunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::uint32_t l = active_links[i];
-          if (active_count[l] == 0) continue;
-          keep.push_back(l);
-          m = std::min(m, residual[l] / active_count[l]);
-        }
-        chunk_min[c] = m;
-      });
-      std::size_t kept = 0;
-      for (std::size_t c = 0; c < rchunks; ++c) {
-        const std::vector<std::uint32_t>& keep = keep_chunks[c];
-        if (!keep.empty())
-          std::memcpy(active_links.data() + kept, keep.data(),
-                      keep.size() * sizeof(std::uint32_t));
-        kept += keep.size();
-        next = std::min(next, chunk_min[c]);
-      }
-      active_links.resize(kept);
-    } else {
-      std::size_t kept = 0;
-      for (std::uint32_t l : active_links) {
-        if (active_count[l] == 0) continue;
-        active_links[kept++] = l;
-        next = std::min(next, residual[l] / active_count[l]);
-      }
-      active_links.resize(kept);
+    std::size_t kept = 0;
+    for (std::uint32_t l : active_links) {
+      if (active_count[l] == 0) continue;
+      active_links[kept++] = l;
+      next = std::min(next, residual[l] / active_count[l]);
     }
+    active_links.resize(kept);
     delta = next;
   }
 
@@ -323,9 +219,6 @@ void FlowSolver::solve(std::vector<Flow>& flows,
 
   for (std::size_t si = 0; si < num_subs; ++si)
     flows[sub_flow[si]].rate += rate[si];
-
-  if (rounds_parallel) g_rounds_parallel.fetch_add(rounds_parallel);
-  if (rounds_serial) g_rounds_serial.fetch_add(rounds_serial);
 }
 
 }  // namespace hxmesh::flow
