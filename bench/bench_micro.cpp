@@ -6,6 +6,7 @@
 #include "alloc/experiments.hpp"
 #include "collectives/hamiltonian.hpp"
 #include "engine/factory.hpp"
+#include "engine/flow_engine.hpp"
 #include "engine/harness.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
@@ -89,6 +90,23 @@ static void BM_FlowSolverAlltoallLarge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n);
 }
 BENCHMARK(BM_FlowSolverAlltoallLarge);
+
+// One alltoall shift on Table II's HyperX (hyperx:128x128, 4.2M directed
+// links), solved as FlowEngine solves a sampled shift of flow_large's
+// alltoall cell. The paths cross 1-2% of the links, so this times the
+// per-solve setup sized by touched links plus one filling round.
+static void BM_FlowSolverHyperXShift(benchmark::State& state) {
+  const auto hx = engine::make_topology("hyperx:128x128");
+  const engine::FlowEngine eng(*hx);
+  const auto pattern = flow::shift_pattern(hx->num_endpoints(), 4096);
+  for (auto _ : state) {
+    auto flows = pattern;
+    eng.solve(flows);
+    benchmark::DoNotOptimize(flows.front().rate);
+  }
+  state.SetItemsProcessed(state.iterations() * pattern.size());
+}
+BENCHMARK(BM_FlowSolverHyperXShift);
 
 // The progressive-filling round loop on a 64x64 permutation: thousands
 // of active links per round, so the round passes dominate the solve.

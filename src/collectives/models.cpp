@@ -91,6 +91,13 @@ RingMapping build_ring_mapping(const topo::Topology& topology) {
 
 MeasuredRing measure_ring(const topo::Topology& topology,
                           flow::FlowSolverConfig config) {
+  return measure_ring(engine::FlowEngine(topology, config).solver(),
+                      config.route);
+}
+
+MeasuredRing measure_ring(const flow::FlowSolver& solver,
+                          topo::RouteMode route) {
+  const topo::Topology& topology = solver.topology();
   RingMapping mapping = build_ring_mapping(topology);
   MeasuredRing result;
   result.p = topology.num_endpoints();
@@ -105,7 +112,7 @@ MeasuredRing measure_ring(const topo::Topology& topology,
     auto f = flow::ring_flows(ring, /*bidirectional=*/true);
     flows.insert(flows.end(), f.begin(), f.end());
   }
-  engine::FlowEngine(topology, config).solve(flows);
+  result.converged = solver.solve(flows, route);
   double min_rate = flows.empty() ? 0.0 : flows.front().rate;
   for (const flow::Flow& f : flows) min_rate = std::min(min_rate, f.rate);
   result.rate_bps = min_rate;

@@ -40,10 +40,15 @@ struct MeasuredRing {
   int directions_total = 0;   // ring directions x planes
   double injection_bps = 0.0; // per-accelerator injection over simulated
                               // planes [bytes/s]
+  bool converged = true;      // false: the ring solve hit the filling cap
 };
 
+/// Measures the ring mapping with a flow engine built for `config`.
 MeasuredRing measure_ring(const topo::Topology& topology,
                           flow::FlowSolverConfig config = {});
+/// Same, solved by `solver` (and on its topology) under `route`.
+MeasuredRing measure_ring(const flow::FlowSolver& solver,
+                          topo::RouteMode route);
 
 /// Completion time of the rings allreduce for S total bytes per rank.
 double t_allreduce_rings(const MeasuredRing& ring, double s_bytes);

@@ -45,7 +45,7 @@ RunResult FlowEngine::run(const flow::TrafficSpec& spec) {
 RunResult FlowEngine::run_point_to_point(const flow::TrafficSpec& spec) {
   RunResult result;
   result.flows = flow::make_flows(spec, topology_.num_endpoints());
-  solver_.solve(result.flows, spec.route);
+  result.numerics_ok = solver_.solve(result.flows, spec.route);
   result.rate_summary = summarize_rates(result.flows);
   result.aggregate_fraction =
       result.rate_summary.mean / topology_.injection_bandwidth();
@@ -67,7 +67,7 @@ RunResult FlowEngine::run_alltoall(const flow::TrafficSpec& spec) {
   rates.reserve(static_cast<std::size_t>((n - 2) / stride + 1) * n);
   for (int shift = 1; shift < n; shift += stride) {
     auto flows = flow::shift_pattern(n, shift);
-    solver_.solve(flows, spec.route);
+    if (!solver_.solve(flows, spec.route)) result.numerics_ok = false;
     for (const flow::Flow& f : flows) rates.push_back(f.rate);
   }
   result.rate_summary = summarize(std::move(rates));
@@ -93,9 +93,7 @@ RunResult FlowEngine::run_alltoall(const flow::TrafficSpec& spec) {
 RunResult FlowEngine::run_allreduce(const flow::TrafficSpec& spec) {
   const std::size_t m = static_cast<std::size_t>(spec.route);
   if (!ring_measured_[m]) {
-    flow::FlowSolverConfig config = solver_.config();
-    config.route = spec.route;
-    ring_[m] = collectives::measure_ring(topology_, config);
+    ring_[m] = collectives::measure_ring(solver_, spec.route);
     ring_measured_[m] = true;
   }
   const collectives::MeasuredRing& ring = ring_[m];
@@ -107,6 +105,7 @@ RunResult FlowEngine::run_allreduce(const flow::TrafficSpec& spec) {
   result.fraction_of_peak = collectives::allreduce_fraction_of_peak(
       ring, s_bytes, spec.torus_algorithm);
   result.alpha_s = ring.alpha_s;
+  result.numerics_ok = ring.converged;
   result.rate_summary = summarize({ring.rate_bps});
   result.aggregate_fraction = ring.rate_bps / topology_.injection_bandwidth();
   return result;

@@ -26,9 +26,13 @@ class FlowEngine : public SimEngine {
   RunResult run(const flow::TrafficSpec& spec) override;
 
   /// Max-min fair rates for an explicit flow list (rates written in place).
-  void solve(std::vector<flow::Flow>& flows) const { solver_.solve(flows); }
+  /// False when the solve stopped at the filling cap (see FlowSolver).
+  bool solve(std::vector<flow::Flow>& flows) const {
+    return solver_.solve(flows);
+  }
 
   const flow::FlowSolverConfig& config() const { return solver_.config(); }
+  const flow::FlowSolver& solver() const { return solver_; }
 
  private:
   RunResult run_point_to_point(const flow::TrafficSpec& spec);

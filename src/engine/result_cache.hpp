@@ -36,7 +36,9 @@ class ResultCache {
   /// (PR 5), changing every flow-engine result.
   /// v3: entries carry an FNV-1a content checksum; load() verifies it and
   /// quarantines corrupt blobs instead of silently recomputing over them.
-  static constexpr int kSchemaVersion = 3;
+  /// v4: a flow row whose max-min solve stopped at the filling cap says so
+  /// with numerics_ok=false (its rates are unchanged).
+  static constexpr int kSchemaVersion = 4;
 
   static constexpr const char* kDefaultDir = ".hxmesh-cache";
 

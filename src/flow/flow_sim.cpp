@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <new>
 #include <utility>
 
 #include "core/thread_pool.hpp"
@@ -35,7 +36,7 @@ FlowSolver::FlowSolver(const topo::Topology& topology, FlowSolverConfig config)
 // freeze time — the same left-to-right float additions the per-subflow
 // accumulation performed — so the computed rates are bit-identical to the
 // full-rescan formulation, round for round.
-void FlowSolver::solve(std::vector<Flow>& flows,
+bool FlowSolver::solve(std::vector<Flow>& flows,
                        topo::RouteMode route) const {
   const topo::Graph& g = topology_.graph();
 
@@ -77,7 +78,9 @@ void FlowSolver::solve(std::vector<Flow>& flows,
     for (std::size_t c = 0; c < nchunks; ++c) sample_chunk(c);
   }
 
-  // Flatten in flow order, counting per-link crossings as the links land.
+  // Flatten in flow order. Each link gets a dense local id the first time
+  // a path crosses it, and path_links holds local ids from here on, so
+  // every per-link array below is sized by the links this solve touches.
   // The per-subflow state is SoA — flow id / first link / link count here,
   // rate and the frozen flag below — so the fused round passes and the
   // final rate accumulation stream through flat arrays.
@@ -85,7 +88,9 @@ void FlowSolver::solve(std::vector<Flow>& flows,
   std::vector<int> sub_flow;
   std::vector<std::uint32_t> sub_first;
   std::vector<std::uint32_t> sub_count;
-  std::vector<topo::LinkId> path_links;
+  std::vector<std::uint32_t> path_links;
+  std::vector<topo::LinkId> touched;        // local id -> link id
+  std::vector<std::uint32_t> active_count;  // local id -> unfrozen crossers
   {
     std::size_t total_subs = 0, total_links = 0;
     for (const Chunk& chunk : chunks) {
@@ -97,36 +102,58 @@ void FlowSolver::solve(std::vector<Flow>& flows,
     sub_count.reserve(total_subs);
     path_links.reserve(total_links);
   }
-  std::vector<std::uint32_t> link_off(g.num_links() + 1, 0);
-  for (const Chunk& chunk : chunks) {
-    std::size_t pos = 0;
-    for (const auto& [f, count] : chunk.subs) {
-      sub_flow.push_back(f);
-      sub_first.push_back(static_cast<std::uint32_t>(path_links.size()));
-      sub_count.push_back(count);
-      for (std::uint32_t i = 0; i < count; ++i)
-        ++link_off[chunk.links[pos + i] + 1];
-      path_links.insert(path_links.end(), chunk.links.begin() + pos,
-                        chunk.links.begin() + pos + count);
-      pos += count;
+  {
+    std::lock_guard<std::mutex> lock(local_mu_);
+    if (!local_id_) {
+      local_id_.reset(static_cast<std::uint32_t*>(
+          std::calloc(g.num_links(), sizeof(std::uint32_t))));
+      if (!local_id_) throw std::bad_alloc();
+    }
+    std::uint32_t* const local_id = local_id_.get();
+    // Leaves the map all-zero for the next solve, also if a push throws.
+    struct Clear {
+      std::uint32_t* local_id;
+      const std::vector<topo::LinkId>& touched;
+      ~Clear() {
+        for (topo::LinkId l : touched) local_id[l] = 0;
+      }
+    } clear{local_id, touched};
+    for (const Chunk& chunk : chunks) {
+      std::size_t pos = 0;
+      for (const auto& [f, count] : chunk.subs) {
+        sub_flow.push_back(f);
+        sub_first.push_back(static_cast<std::uint32_t>(path_links.size()));
+        sub_count.push_back(count);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          std::uint32_t& slot = local_id[chunk.links[pos + i]];
+          if (slot == 0) {
+            touched.push_back(chunk.links[pos + i]);
+            active_count.push_back(0);
+            slot = static_cast<std::uint32_t>(touched.size());
+          }
+          ++active_count[slot - 1];
+          path_links.push_back(slot - 1);
+        }
+        pos += count;
+      }
     }
   }
   const std::size_t num_subs = sub_flow.size();
+  const std::size_t num_local = touched.size();
 
-  std::vector<double> residual(g.num_links());
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    residual[l] = g.link(static_cast<topo::LinkId>(l)).bandwidth_bps;
-  // Link -> crossing subflows (CSR). Minimal paths never repeat a link, so
-  // each subflow appears at most once per link list — which also makes the
-  // CSR row width of a link exactly its active-crosser count.
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    link_off[l + 1] += link_off[l];
-  std::vector<std::uint32_t> active_count(g.num_links());
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    active_count[l] = link_off[l + 1] - link_off[l];
+  std::vector<double> residual(num_local);
+  for (std::size_t l = 0; l < num_local; ++l)
+    residual[l] = g.link(touched[l]).bandwidth_bps;
+  // Link -> crossing subflows (CSR). A subflow appears in a link's row
+  // once per crossing, so the row width starts out equal to the link's
+  // active-crosser count.
+  std::vector<std::uint32_t> link_off(num_local + 1, 0);
+  for (std::size_t l = 0; l < num_local; ++l)
+    link_off[l + 1] = link_off[l] + active_count[l];
   // Uninitialized on purpose: the scatter below writes every slot (the
-  // offsets were counted from exactly these path links), and zero-filling
-  // multi-MB arrays first is measurable at hx2mesh:64x64 scale.
+  // offsets were counted from exactly these path links). Like all state
+  // here it is sized by this solve's paths, one entry per crossing, and
+  // zero-filling it first is measurable at hx2mesh:64x64 scale.
   std::unique_ptr<std::uint32_t[]> link_subs(
       new std::uint32_t[path_links.size()]);
   {
@@ -137,12 +164,13 @@ void FlowSolver::solve(std::vector<Flow>& flows,
             static_cast<std::uint32_t>(si);
   }
 
-  // The compacted active sets: links still carrying unfrozen subflows.
-  std::vector<std::uint32_t> active_links;
-  active_links.reserve(g.num_links());
-  for (std::size_t l = 0; l < g.num_links(); ++l)
-    if (active_count[l] > 0)
-      active_links.push_back(static_cast<std::uint32_t>(l));
+  // The compacted active set: links still carrying unfrozen subflows.
+  // Every touched link starts in it. Its order (first touch, not link id)
+  // is invisible: the rounds take a minimum over it and freeze every
+  // subflow of a round at the same fill level.
+  std::vector<std::uint32_t> active_links(num_local);
+  for (std::size_t l = 0; l < num_local; ++l)
+    active_links[l] = static_cast<std::uint32_t>(l);
 
   std::vector<std::uint8_t> active(num_subs, 1);
   // Uninitialized on purpose: every subflow's slot is written exactly once
@@ -178,13 +206,6 @@ void FlowSolver::solve(std::vector<Flow>& flows,
     if (!std::isfinite(delta)) break;
     cum += delta;
 
-    if (round + 1 == config_.max_filling_rounds) {
-      // Safety cap: freeze whatever is left at the current fill level.
-      for (std::uint32_t si = 0; si < num_subs; ++si)
-        if (active[si]) freeze(si);
-      break;
-    }
-
     // A link is saturated when its residual share is (numerically) gone;
     // every unfrozen subflow crossing it freezes this round. The frozen
     // subflows' other links lose active crossers and may drop out of the
@@ -213,12 +234,16 @@ void FlowSolver::solve(std::vector<Flow>& flows,
     delta = next;
   }
 
-  // Loop cap or non-finite delta: unfrozen subflows keep the current fill.
+  // Non-finite delta (the unfrozen subflows cross no link) or the round
+  // cap: unfrozen subflows keep the current fill. Only the cap leaves a
+  // finite share on the table, so only it counts as not converged.
+  const bool converged = remaining == 0 || !std::isfinite(delta);
   for (std::uint32_t si = 0; si < num_subs; ++si)
     if (active[si]) rate[si] = cum;
 
   for (std::size_t si = 0; si < num_subs; ++si)
     flows[sub_flow[si]].rate += rate[si];
+  return converged;
 }
 
 }  // namespace hxmesh::flow

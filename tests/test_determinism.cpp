@@ -14,11 +14,13 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "core/fsio.hpp"
 #include "core/json_parse.hpp"
 #include "core/rng.hpp"
+#include "engine/factory.hpp"
 #include "engine/harness.hpp"
 #include "flow/flow_sim.hpp"
 #include "flow/patterns.hpp"
@@ -99,9 +101,11 @@ TEST(EventQueueDeterminism, EmptyRefillCycles) {
 // sampling is one serial loop over the flows (each drawing from its own
 // counter-seeded substream, exactly like the production sampler's
 // definition). Kept as the executable specification of solve()'s exact
-// semantics — the parallel chunked sampler and the incremental filling
-// must both be invisible here.
-void solve_reference(const topo::Topology& topology,
+// semantics — the parallel chunked sampler, the incremental filling and
+// the per-solve compaction to the links the paths touch must all be
+// invisible here. Returns false when a subflow was still unfrozen after
+// the last allowed round.
+bool solve_reference(const topo::Topology& topology,
                      const flow::FlowSolverConfig& config,
                      std::vector<flow::Flow>& flows) {
   const topo::Graph& g = topology.graph();
@@ -122,7 +126,8 @@ void solve_reference(const topo::Topology& topology,
     Rng rng = Rng::substream(config.seed, f);
     for (int k = 0; k < config.paths_per_flow; ++k) {
       topology.sample_path_stratified(flows[f].src, flows[f].dst, k,
-                                      config.paths_per_flow, rng, path);
+                                      config.paths_per_flow, rng, path,
+                                      config.route);
       Subflow s;
       s.flow = static_cast<int>(f);
       s.first = static_cast<std::uint32_t>(path_links.size());
@@ -141,6 +146,7 @@ void solve_reference(const topo::Topology& topology,
       ++active_count[path_links[s.first + i]];
 
   std::size_t remaining = subflows.size();
+  bool converged = true;
   for (int round = 0; round < config.max_filling_rounds && remaining > 0;
        ++round) {
     double delta = std::numeric_limits<double>::infinity();
@@ -157,9 +163,13 @@ void solve_reference(const topo::Topology& topology,
     for (Subflow& s : subflows) {
       if (!s.active) continue;
       s.rate += delta;
-      bool frozen = last_round;
+      bool frozen = false;
       for (std::uint32_t i = 0; i < s.count && !frozen; ++i)
         frozen = residual[path_links[s.first + i]] <= eps;
+      if (!frozen && last_round) {
+        converged = false;  // the cap, not a saturated link, froze it
+        frozen = true;
+      }
       if (frozen) {
         s.active = false;
         --remaining;
@@ -170,15 +180,16 @@ void solve_reference(const topo::Topology& topology,
   }
 
   for (const Subflow& s : subflows) flows[s.flow].rate += s.rate;
+  return converged;
 }
 
 void expect_solver_matches_reference(const topo::Topology& topology,
                                      std::vector<flow::Flow> flows,
                                      flow::FlowSolverConfig config = {}) {
   std::vector<flow::Flow> expected = flows;
-  solve_reference(topology, config, expected);
+  const bool converged = solve_reference(topology, config, expected);
   flow::FlowSolver solver(topology, config);
-  solver.solve(flows);
+  EXPECT_EQ(solver.solve(flows), converged);
   ASSERT_EQ(flows.size(), expected.size());
   for (std::size_t i = 0; i < flows.size(); ++i)
     EXPECT_EQ(flows[i].rate, expected[i].rate)
@@ -252,6 +263,109 @@ TEST(FlowSolverDeterminism, SelfFlowsAndRepeatSolvesMatchReference) {
   solver.solve(twice);
   for (std::size_t i = 0; i < once.size(); ++i)
     EXPECT_EQ(once[i].rate, twice[i].rate);
+}
+
+// Fabrics and route modes where a solve's first-touch link order is far
+// from link-id order: HyperX, a small Dragonfly, a faulted HammingMesh and
+// Valiant/UGAL detours (which may cross a link twice).
+TEST(FlowSolverDeterminism, IrregularFabricsMatchReference) {
+  for (const char* spec :
+       {"hyperx:8x8", "dragonfly:4:2:2:9", "hx2mesh:8x8:faults=links:8:seed=3"}) {
+    SCOPED_TRACE(spec);
+    const auto t = engine::make_topology(spec);
+    const int n = t->num_endpoints();
+    std::vector<flow::Flow> flows = flow::shift_pattern(n, n / 2 + 1);
+    Rng rng(11);
+    for (const flow::Flow& f : flow::random_permutation(n, rng))
+      flows.push_back(f);
+    expect_solver_matches_reference(*t, std::move(flows));
+  }
+}
+
+TEST(FlowSolverDeterminism, NonMinimalPermutationsMatchReference) {
+  for (const char* spec :
+       {"hx2mesh:4x4", "hyperx:8x8", "hx2mesh:8x8:faults=links:8:seed=3"}) {
+    const auto t = engine::make_topology(spec);
+    for (topo::RouteMode route :
+         {topo::RouteMode::kValiant, topo::RouteMode::kUgal}) {
+      SCOPED_TRACE(std::string(spec) + " " + topo::route_mode_name(route));
+      Rng rng(5);
+      auto flows = flow::random_permutation(t->num_endpoints(), rng);
+      flow::FlowSolverConfig config;
+      config.seed = 5;
+      config.route = route;
+      expect_solver_matches_reference(*t, std::move(flows), config);
+    }
+  }
+}
+
+// A solve stopped by the round cap reports it, and the rounds it did run
+// match the reference's: the cap changes no rate, it only gets flagged.
+TEST(FlowSolverDeterminism, CappedSolvesMatchReferenceAndSayTheyStopped) {
+  topo::Torus torus({.width = 8, .height = 8});
+  Rng rng(7);
+  const auto flows = flow::random_permutation(torus.num_endpoints(), rng);
+  flow::FlowSolverConfig config;
+  for (int cap : {1, 2, 5}) {
+    SCOPED_TRACE(cap);
+    config.max_filling_rounds = cap;
+    expect_solver_matches_reference(torus, flows, config);
+  }
+  std::vector<flow::Flow> capped = flows, full = flows;
+  config.max_filling_rounds = 1;
+  EXPECT_FALSE(flow::FlowSolver(torus, config).solve(capped));
+  EXPECT_TRUE(flow::FlowSolver(torus).solve(full));
+}
+
+// Three flows on a 65,536-link HyperX cross a few dozen links: the
+// per-solve arrays cover only those, and the rates must not notice.
+TEST(FlowSolverDeterminism, SparseFlowsOnALargeGraphMatchReference) {
+  const auto hx = engine::make_topology("hyperx:32x32");
+  ASSERT_GE(hx->graph().num_links(), 65536u);
+  const std::vector<flow::Flow> flows = {{0, 1000}, {17, 513}, {1000, 0}};
+  expect_solver_matches_reference(*hx, flows);
+}
+
+// One solver, many flow sets: solved back to back and from four threads at
+// once, every answer must equal a fresh solver's bit for bit (the
+// link -> local id map a solver keeps between solves must come back
+// all-unset, and concurrent solves must not share it).
+TEST(FlowSolverDeterminism, ReusedSolverMatchesFreshSolvers) {
+  const auto hx = engine::make_topology("hyperx:16x16");
+  const int n = hx->num_endpoints();
+  std::vector<std::vector<flow::Flow>> sets;
+  for (int shift : {1, 5, 17, 100}) sets.push_back(flow::shift_pattern(n, shift));
+  Rng rng(9);
+  sets.push_back(flow::random_permutation(n, rng));
+  sets.push_back({{0, 3}, {3, 0}});
+  std::vector<std::vector<flow::Flow>> fresh = sets;
+  for (auto& flows : fresh) flow::FlowSolver(*hx).solve(flows);
+
+  auto expect_fresh = [&](const std::vector<flow::Flow>& got, std::size_t i) {
+    ASSERT_EQ(got.size(), fresh[i].size());
+    for (std::size_t f = 0; f < got.size(); ++f)
+      ASSERT_EQ(got[f].rate, fresh[i][f].rate) << "set " << i << " flow " << f;
+  };
+  flow::FlowSolver shared(*hx);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      std::vector<flow::Flow> flows = sets[i];
+      shared.solve(flows);
+      expect_fresh(flows, i);
+    }
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<flow::Flow>>> got(kThreads, sets);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::size_t k = 0; k < sets.size(); ++k)
+        shared.solve(got[t][(k + t) % sets.size()]);
+    });
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (std::size_t i = 0; i < sets.size(); ++i) expect_fresh(got[t][i], i);
 }
 
 // ------------------------------------------- regression grid, both engines --

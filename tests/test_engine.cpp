@@ -150,6 +150,27 @@ TEST(FlowEngine, AlltoallFractionMatchesTableTwoShape) {
   EXPECT_LT(result.aggregate_fraction, 0.35);
 }
 
+// A flow cell whose max-min solve stopped at the filling cap says so: the
+// point-to-point solve, any alltoall shift and the allreduce ring solve
+// each clear numerics_ok, and the same cells converge under the default.
+// Valiant detours keep even the ring from saturating in one round.
+TEST(FlowEngine, CappedSolvesClearNumericsOk) {
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});
+  flow::FlowSolverConfig capped;
+  capped.max_filling_rounds = 1;
+  for (const char* pattern : {"perm:route=valiant", "alltoall:route=valiant",
+                              "allreduce:route=valiant"}) {
+    SCOPED_TRACE(pattern);
+    const flow::TrafficSpec spec = flow::parse_traffic(pattern);
+    EXPECT_FALSE(FlowEngine(hx, capped).run(spec).numerics_ok);
+    EXPECT_TRUE(FlowEngine(hx).run(spec).numerics_ok);
+  }
+  capped.route = topo::RouteMode::kValiant;
+  EXPECT_FALSE(collectives::measure_ring(hx, capped).converged);
+  capped.max_filling_rounds = flow::FlowSolverConfig{}.max_filling_rounds;
+  EXPECT_TRUE(collectives::measure_ring(hx, capped).converged);
+}
+
 // ----------------------------------------------------------- PacketEngine --
 TEST(PacketEngine, ShiftDeliversAllMessages) {
   topo::HammingMesh hx({.a = 2, .b = 2, .x = 2, .y = 2});
