@@ -24,13 +24,16 @@ int main() {
   struct Measured {
     double rate = 0;   // steady per-rank alltoall rate, all planes [B/s]
     double alpha = 0;  // per-round latency [s]
+    bool converged = true;  // every max-min solve reached its answer
   };
   auto measured = harness.map<Measured>(specs.size(), [&](std::size_t i) {
     auto t = engine::make_topology(specs[i]);
     workload::CommEnv env(*t);
     const int n = t->num_endpoints();
-    return Measured{env.alltoall_rate(n) * env.plane_factor(),
-                    env.alltoall_alpha(n)};
+    Measured m;
+    m.rate = env.alltoall_rate(n, &m.converged) * env.plane_factor();
+    m.alpha = env.alltoall_alpha(n);
+    return m;
   });
 
   std::vector<std::string> headers = {"Topology"};
@@ -39,8 +42,11 @@ int main() {
                                : std::to_string(s / KiB) + "KiB");
   Table table(headers);
   std::vector<JsonObject> json;
+  bool any_capped = false;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    std::vector<std::string> row = {labels[i]};
+    const bool ok = measured[i].converged;
+    any_capped |= !ok;
+    std::vector<std::string> row = {ok ? labels[i] : labels[i] + " *"};
     for (auto s : sizes) {
       // Per-peer message of s bytes, p-1 rounds; bandwidth saturates at the
       // steady alltoall rate for large messages.
@@ -54,12 +60,17 @@ int main() {
           .add("message_bytes", s)
           .add("bandwidth_bps", bw)
           .add("steady_rate_bps", measured[i].rate)
-          .add("alpha_s", measured[i].alpha);
+          .add("alpha_s", measured[i].alpha)
+          .add("numerics_ok", ok);
       json.push_back(std::move(obj));
     }
     table.add_row(row);
   }
   table.print();
+  if (any_capped)
+    std::printf("\n* a max-min solve of this row stopped at the filling-"
+                "round cap (numerics_ok=false): its rates are lower bounds, "
+                "not the model's answer.\n");
   std::printf("\n(Table II reports the large-message plateau of these "
               "curves as %% of injection.)\n");
   benchutil::write_json_objects("BENCH_fig11.json", json);

@@ -45,6 +45,13 @@ std::vector<engine::SweepRow> run_cluster(engine::ExperimentHarness& harness,
   Table table({"Topology", "cost [M$]", "glob BW [%inj]", "glob saving",
                "ared BW [%peak]", "ared saving", "diameter"});
   double ft_cost = 0, ft_glob = 0, ft_ared = 0;
+  bool any_capped = false;
+  // A bandwidth whose max-min solve stopped at the filling-round cap is a
+  // lower bound; it is printed with a mark.
+  auto percent = [&](double fraction, const engine::SweepRow& row) {
+    any_capped |= !row.result.numerics_ok;
+    return fmt(fraction * 100, 1) + (row.result.numerics_ok ? "" : " *");
+  };
   for (std::size_t ti = 0; ti < sweep.topologies.size(); ++ti) {
     double cost = extras[ti].cost_musd;
     double glob = rows[2 * ti + 0].result.aggregate_fraction;
@@ -57,11 +64,15 @@ std::vector<engine::SweepRow> run_cluster(engine::ExperimentHarness& harness,
     double glob_saving = (glob / cost) / (ft_glob / ft_cost);
     double ared_saving = (ared / cost) / (ft_ared / ft_cost);
     table.add_row({rows[2 * ti].label, fmt(cost, cost < 100 ? 1 : 0),
-                   fmt(glob * 100, 1), fmt(glob_saving, 1) + "x",
-                   fmt(ared * 100, 1), fmt(ared_saving, 1) + "x",
+                   percent(glob, rows[2 * ti]), fmt(glob_saving, 1) + "x",
+                   percent(ared, rows[2 * ti + 1]), fmt(ared_saving, 1) + "x",
                    std::to_string(extras[ti].diameter)});
   }
   table.print();
+  if (any_capped)
+    std::printf("* the max-min solve stopped at the filling-round cap "
+                "(numerics_ok=false): a lower bound, not the model's "
+                "answer; the savings built on it are as uncertain.\n");
   std::printf("\n");
   return rows;
 }

@@ -300,20 +300,17 @@ void emit_rows(const std::vector<engine::SweepRow>& rows,
 }
 
 // One line of routing-oracle observability (process-wide counters): how
-// distance fields were produced this session. On structured topologies
-// the hot path must show "0 bfs fills" — the closed-form oracles carry
-// all of it.
+// distance fields and faulted-fabric views were produced in this process.
+// On structured topologies the hot path must show "0 bfs fills" — the
+// closed-form oracles carry all of it.
 void report_routing(std::ostream& out) {
   const topo::RoutingCounters c = topo::routing_counters();
   out << "routing: " << c.oracle_fills << " oracle fills, " << c.bfs_fills
-      << " bfs fills, " << c.dist_cache_hits
-      << " dist-cache hits (this process)\n";
+      << " bfs fills, " << c.fault_views << " fault views (this process)\n";
 }
 
 // Batched-execution observability: how much per-cell setup the topology
-// groups amortized (builds + engine setup reused by co-scheduled cells;
-// the dist-cache hits of the routing line are the amortized fills/route
-// tables).
+// groups amortized (builds + engine setup reused by co-scheduled cells).
 void report_batching(std::ostream& out) {
   const engine::BatchCounters b = engine::batch_counters();
   out << "batch: " << b.topo_groups << " topology groups, "
@@ -815,7 +812,7 @@ int do_cache(const std::vector<std::string>& args, std::size_t start,
     report_routing(out);
     report_batching(out);
     const topo::RoutingCounters c = topo::routing_counters();
-    if (c.oracle_fills + c.bfs_fills + c.dist_cache_hits == 0)
+    if (c.oracle_fills + c.bfs_fills + c.fault_views == 0)
       out << "  (counters are per-process: run or sweep in the same "
              "process to populate them)\n";
     return 0;

@@ -126,8 +126,8 @@ class GridPlan {
 
   /// \brief Number of distinct topology spec strings across all grids.
   /// Slots of one spec share a batch, so batched execution builds each
-  /// topology — and amortizes its oracle fills, dist fields, and route
-  /// tables — once per batch instead of once per (grid, topology) slot.
+  /// topology — and amortizes its faulted-fabric views and engine setup —
+  /// once per batch instead of once per (grid, topology) slot.
   std::size_t num_topo_batches() const { return batch_specs_.size(); }
   /// \brief Spec string of topology batch `batch`.
   const std::string& topo_batch_spec(std::size_t batch) const {

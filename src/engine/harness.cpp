@@ -92,9 +92,9 @@ std::vector<SweepRow> ExperimentHarness::run_cells(const GridPlan& plan,
 
   // Batched setup: build one topology per distinct spec (the plan's
   // topology batches), in parallel; every (grid, topology) slot of that
-  // spec shares the build — and with it the oracle fills, dist fields,
-  // and route-table caches (all thread-safe). Construction errors (bad
-  // specs) are configuration errors and propagate as-is.
+  // spec shares the build — and with it a faulted fabric's views (built
+  // thread-safely on first use). Construction errors (bad specs) are
+  // configuration errors and propagate as-is.
   std::vector<std::unique_ptr<topo::Topology>> topologies(
       plan.num_topo_batches());
   std::vector<std::size_t> batches;
@@ -184,9 +184,9 @@ std::vector<SweepRow> ExperimentHarness::run_cells(const GridPlan& plan,
     }
   };
 
-  // A topology (with its dist-field cache) is released as soon as the last
-  // group using it finishes, so batches that finish early do not stack
-  // their memory on top of the groups still running.
+  // A topology (with its faulted-fabric views) is released as soon as the
+  // last group using it finishes, so batches that finish early do not
+  // stack their memory on top of the groups still running.
   std::vector<std::atomic<std::size_t>> groups_left(topologies.size());
   for (const Group& group : groups) ++groups_left[group.batch];
 

@@ -6,9 +6,9 @@
 // are deterministic by construction — each grid cell is an independent job
 // whose output lands at a precomputed index (see GridPlan), so a 4-thread
 // run produces exactly the rows of a 1-thread run (only wall-clock
-// changes). This is what makes the lazily-filled Topology::dist_field
-// cache's thread safety load-bearing: all jobs of one topology share a
-// single instance.
+// changes). All jobs of one topology share a single instance, so its
+// routing queries (and a faulted fabric's lazily built views) must be
+// thread-safe.
 #pragma once
 
 /// \file
@@ -33,9 +33,8 @@ namespace hxmesh::engine {
 /// amortized across co-scheduled cells" observable (`hxmesh cache stats`
 /// and sweep stderr), not assumed.
 struct BatchCounters {
-  /// Topology groups built: one shared graph build + oracle install (and
-  /// one dist-field/route-table cache) per distinct topology spec that had
-  /// cells to execute.
+  /// Topology groups built: one shared graph build + oracle install per
+  /// distinct topology spec that had cells to execute.
   std::uint64_t topo_groups = 0;
   /// Duplicate topology builds avoided: (grid, topology) slots that
   /// reused another slot's built topology instead of building their own.
@@ -98,9 +97,9 @@ class ExperimentHarness {
   ///
   /// Execution is batched: cells are grouped by (topology spec, engine)
   /// — across grids — and each group runs against one shared built
-  /// topology and one engine instance, so graph builds, oracle fills,
-  /// dist fields, route tables, and per-engine setup (measured rings)
-  /// happen once per group instead of once per cell. The cache probe
+  /// topology and one engine instance, so graph builds, faulted-fabric
+  /// views and per-engine setup (measured rings) happen once per group
+  /// instead of once per cell. The cache probe
   /// stays per-cell, and rows are byte-identical to unbatched execution.
   ///
   /// A failing cell (engine->run or cache store throwing) does not abort

@@ -20,6 +20,10 @@
 // substream (Rng::substream(seed, flow index)), which makes flows
 // independent: large flow sets sample in parallel over a thread pool with
 // rates that are bit-identical for every worker count, including one.
+// The paths themselves come from Topology::sample_path_stratified: closed
+// forms on healthy built-in families, and on a faulted one a walk over the
+// destination's view (closed form plus a sparse patch), so a path costs
+// O(path length) and no whole distance field is rendered.
 //
 // This reproduces the steady-state bandwidth numbers of Table II and
 // Figures 11-13/17 for large messages; the packet-level simulator

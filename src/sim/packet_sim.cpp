@@ -53,8 +53,7 @@ std::unique_ptr<PacketSim::RouteTable> PacketSim::build_route_table(
   // rule (shared with the oracles) appends in the graph's out-link order,
   // exactly what the per-decision dist filter used to yield. The distance
   // field itself comes from the topology's routing oracle — an O(V)
-  // closed-form fill on every structured family — through the shared
-  // dist_field cache.
+  // closed-form fill on every structured family — through dist_field.
   auto table = std::make_unique<RouteTable>();
   table->dist = topology_.dist_field(dst_node);
   const std::vector<std::int32_t>& dist = *table->dist;

@@ -148,10 +148,9 @@ class PacketSim {
   void on_credit_return(topo::LinkId link, int vc, std::uint32_t bytes);
   void on_user_callback(std::uint32_t slot);
 
-  // Topology::dist_field is shared across engine threads and pays for a
-  // lock per call; this sim is single-threaded, so it pins each handed-out
-  // field in a flat vector indexed by destination node and derives the
-  // per-node candidate-link table from it once, lock-free thereafter.
+  // Topology::dist_field renders a fresh field per call; this sim keeps
+  // each one in a flat vector indexed by destination node and derives the
+  // per-node candidate-link table from it once.
   const RouteTable& route_to(topo::NodeId dst_node);
   std::unique_ptr<RouteTable> build_route_table(topo::NodeId dst_node) const;
   void start_transmission(std::uint32_t packet_id, topo::LinkId link);

@@ -241,12 +241,15 @@ int dim_cost(int i, int j, int bi, int bj, int n, int rail) {
 // edge it (or, via a spine detour, any leaf of its rail) serves:
 //   leaf L:  min(1 + min_{ports of L} cost, 3 + min_{all rail ports} cost)
 //   spine:   2 + min_{all rail ports} cost
-// fill() precomputes the per-destination cost tables and port minima once
-// (O(accel_x + accel_y)), making the whole field an O(V) table render.
+// view() precomputes the per-destination cost tables and port minima once
+// (O(accel_x + accel_y)), after which every node's distance is a table
+// lookup.
 class HammingMesh::Oracle final : public RoutingOracle {
  public:
   explicit Oracle(const HammingMesh& hx) : RoutingOracle(hx.graph()), hx_(hx) {
-    info_.assign(hx.graph().num_nodes(), SwitchInfo{});
+    info_.assign(hx.graph().num_nodes(), NodeInfo{});
+    for (int r = 0; r < hx.num_endpoints(); ++r)
+      info_[hx.endpoint_node(r)] = {-1, 0, hx.gx_of(r), hx.gy_of(r)};
     for (int dim = 0; dim < 2; ++dim) {
       const DimRails& dr = dim == 0 ? hx.x_rails_ : hx.y_rails_;
       const int num_lines = dim == 0 ? hx.accel_y() : hx.accel_x();
@@ -256,13 +259,10 @@ class HammingMesh::Oracle final : public RoutingOracle {
           info_[r.leaves[i]] = {static_cast<std::int8_t>(dim), 0,
                                 static_cast<std::int32_t>(line),
                                 static_cast<std::int32_t>(i)};
-          switch_nodes_.push_back(r.leaves[i]);
         }
-        for (NodeId s : r.spines) {
+        for (NodeId s : r.spines)
           info_[s] = {static_cast<std::int8_t>(dim), 1,
                       static_cast<std::int32_t>(line), 0};
-          switch_nodes_.push_back(s);
-        }
       }
     }
   }
@@ -271,76 +271,11 @@ class HammingMesh::Oracle final : public RoutingOracle {
     const int dd = hx_.rank_of(dst_node);
     const int s = hx_.rank_of(from);
     if (s >= 0) return hx_.dist(s, dd);
-    const SwitchInfo& si = info_[from];
-    const int dgx = hx_.gx_of(dd), dgy = hx_.gy_of(dd);
-    const int cross = si.dim == 0 ? dim_cost_of(1, si.line, dgy)
-                                  : dim_cost_of(0, si.line, dgx);
-    const int dcoord = si.dim == 0 ? dgx : dgy;
-    const Rail& rail = hx_.rail_for(si.dim, si.line);
-    const int boards = si.dim == 0 ? hx_.params_.x : hx_.params_.y;
-    int leaf_min = kFar, all_min = kFar;
-    for (int b = 0; b < boards; ++b) {
-      const int c = std::min(port_cost(si.dim, b, 0, dcoord),
-                             port_cost(si.dim, b, 1, dcoord));
-      all_min = std::min(all_min, c);
-      if (rail.leaf_idx_of_board[b] == si.leaf)
-        leaf_min = std::min(leaf_min, c);
-    }
-    if (si.spine) return cross + 2 + all_min;
-    int best = leaf_min == kFar ? kFar : 1 + leaf_min;
-    if (!rail.spines.empty()) best = std::min(best, 3 + all_min);
-    return cross + best;
+    return Tables(*this, dst_node).dist(from);  // switches: cold path
   }
 
-  void fill(NodeId dst_node, std::vector<std::int32_t>& out) const override {
-    const int dd = hx_.rank_of(dst_node);
-    const int dgx = hx_.gx_of(dd), dgy = hx_.gy_of(dd);
-    const int ax = hx_.accel_x(), ay = hx_.accel_y();
-    out.resize(hx_.graph().num_nodes());
-
-    // Per-destination cost tables, line-independent (see class comment).
-    std::vector<std::int32_t> costx(ax), costy(ay);
-    for (int gx = 0; gx < ax; ++gx) costx[gx] = dim_cost_of(0, gx, dgx);
-    for (int gy = 0; gy < ay; ++gy) costy[gy] = dim_cost_of(1, gy, dgy);
-
-    // Port minima per rail leaf (and overall) in each dimension.
-    std::vector<std::int32_t> leaf_min[2];
-    std::int32_t all_min[2];
-    bool has_spines[2];
-    for (int dim = 0; dim < 2; ++dim) {
-      // Rail structure (leaf layout, spine presence) is identical on every
-      // line, so line 0 stands in for all of them.
-      const Rail& r0 = hx_.rail_for(dim, 0);
-      const int boards = dim == 0 ? hx_.params_.x : hx_.params_.y;
-      const std::vector<std::int32_t>& cost = dim == 0 ? costx : costy;
-      const int n = dim == 0 ? hx_.params_.a : hx_.params_.b;
-      has_spines[dim] = !r0.spines.empty();
-      leaf_min[dim].assign(r0.leaves.size(), kFar);
-      all_min[dim] = kFar;
-      for (int b = 0; b < boards; ++b) {
-        const std::int32_t c =
-            std::min(cost[b * n], cost[b * n + n - 1]);
-        std::int32_t& lm = leaf_min[dim][r0.leaf_idx_of_board[b]];
-        lm = std::min(lm, c);
-        all_min[dim] = std::min(all_min[dim], c);
-      }
-    }
-
-    for (int r = 0; r < hx_.num_endpoints(); ++r)
-      out[hx_.endpoint_node(r)] = costx[hx_.gx_of(r)] + costy[hx_.gy_of(r)];
-    for (NodeId sw : switch_nodes_) {
-      const SwitchInfo& si = info_[sw];
-      const std::int32_t cross =
-          si.dim == 0 ? costy[si.line] : costx[si.line];
-      if (si.spine) {
-        out[sw] = cross + 2 + all_min[si.dim];
-        continue;
-      }
-      const std::int32_t lm = leaf_min[si.dim][si.leaf];
-      std::int32_t best = lm == kFar ? kFar : 1 + lm;
-      if (has_spines[si.dim]) best = std::min(best, 3 + all_min[si.dim]);
-      out[sw] = cross + best;
-    }
+  std::unique_ptr<DistView> view(NodeId dst_node) const override {
+    return std::make_unique<Tables>(*this, dst_node);
   }
 
  private:
@@ -348,11 +283,67 @@ class HammingMesh::Oracle final : public RoutingOracle {
   // ports-per-leaf splits); large but overflow-safe under the +3 above.
   static constexpr std::int32_t kFar = 1 << 28;
 
-  struct SwitchInfo {
+  // Per node: a rail switch's dimension, level, line and leaf index within
+  // the rail (leaves only); an endpoint (dim -1) keeps its (gx, gy) in
+  // (line, leaf), so a table lookup needs one load per node.
+  struct NodeInfo {
     std::int8_t dim = -1;
     std::int8_t spine = 0;
     std::int32_t line = 0;
-    std::int32_t leaf = 0;  // leaf index within the rail (leaves only)
+    std::int32_t leaf = 0;
+  };
+
+  // The per-destination tables of the class comment, O(accel_x + accel_y)
+  // to build; dist(n) is then O(1) for every node.
+  class Tables final : public DistView {
+   public:
+    Tables(const Oracle& oracle, NodeId dst_node) : o_(oracle) {
+      const HammingMesh& hx = o_.hx_;
+      const int dd = hx.rank_of(dst_node);
+      const int dgx = hx.gx_of(dd), dgy = hx.gy_of(dd);
+      cost_[0].resize(hx.accel_x());
+      cost_[1].resize(hx.accel_y());
+      for (int gx = 0; gx < hx.accel_x(); ++gx)
+        cost_[0][gx] = o_.dim_cost_of(0, gx, dgx);
+      for (int gy = 0; gy < hx.accel_y(); ++gy)
+        cost_[1][gy] = o_.dim_cost_of(1, gy, dgy);
+      // Port minima per rail leaf (and overall) in each dimension.
+      for (int dim = 0; dim < 2; ++dim) {
+        // Rail structure (leaf layout, spine presence) is identical on
+        // every line, so line 0 stands in for all of them.
+        const Rail& r0 = hx.rail_for(dim, 0);
+        const int boards = dim == 0 ? hx.params_.x : hx.params_.y;
+        const int n = dim == 0 ? hx.params_.a : hx.params_.b;
+        has_spines_[dim] = !r0.spines.empty();
+        leaf_min_[dim].assign(r0.leaves.size(), kFar);
+        all_min_[dim] = kFar;
+        for (int b = 0; b < boards; ++b) {
+          const std::int32_t c =
+              std::min(cost_[dim][b * n], cost_[dim][b * n + n - 1]);
+          std::int32_t& lm = leaf_min_[dim][r0.leaf_idx_of_board[b]];
+          lm = std::min(lm, c);
+          all_min_[dim] = std::min(all_min_[dim], c);
+        }
+      }
+    }
+
+    std::int32_t dist(NodeId n) const override {
+      const NodeInfo& si = o_.info_[n];
+      if (si.dim < 0) return cost_[0][si.line] + cost_[1][si.leaf];
+      const std::int32_t cross = cost_[1 - si.dim][si.line];
+      if (si.spine) return cross + 2 + all_min_[si.dim];
+      const std::int32_t lm = leaf_min_[si.dim][si.leaf];
+      std::int32_t best = lm == kFar ? kFar : 1 + lm;
+      if (has_spines_[si.dim]) best = std::min(best, 3 + all_min_[si.dim]);
+      return cross + best;
+    }
+
+   private:
+    const Oracle& o_;
+    std::vector<std::int32_t> cost_[2];  // by global x / y coordinate
+    std::vector<std::int32_t> leaf_min_[2];
+    std::int32_t all_min_[2];
+    bool has_spines_[2];
   };
 
   // Minimal per-dimension cost from global coordinate g to dg (dim 0: x).
@@ -366,16 +357,8 @@ class HammingMesh::Oracle final : public RoutingOracle {
                     hx_.rail_hops(1, 0, hx_.by_of_gy_[g], hx_.by_of_gy_[dg]));
   }
 
-  // Cost from the edge accelerator of `board`, side 0 (low) or 1 (high),
-  // to destination coordinate dg along `dim`.
-  std::int32_t port_cost(int dim, int board, int side, int dg) const {
-    const int n = dim == 0 ? hx_.params_.a : hx_.params_.b;
-    return dim_cost_of(dim, board * n + (side ? n - 1 : 0), dg);
-  }
-
   const HammingMesh& hx_;
-  std::vector<SwitchInfo> info_;
-  std::vector<NodeId> switch_nodes_;
+  std::vector<NodeInfo> info_;
 };
 
 void HammingMesh::install_oracle() {

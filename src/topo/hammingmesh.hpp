@@ -70,10 +70,6 @@ class HammingMesh : public Topology {
   /// Closed-form minimal distance in cables between two accelerators
   /// (validated against BFS in tests).
   int dist(int src_rank, int dst_rank) const;
-  int hop_distance(int src, int dst) const override {
-    if (faulted()) return Topology::hop_distance(src, dst);
-    return dist(src, dst);
-  }
 
  private:
   class Oracle;  // closed-form routing oracle (defined in hammingmesh.cpp)

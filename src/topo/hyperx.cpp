@@ -1,15 +1,16 @@
 #include "topo/hyperx.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
 namespace hxmesh::topo {
 
 // Closed-form oracle of the healthy fabric. From an endpoint the distance
-// is grid_distance() — never the virtual hop_distance(), which on a
-// faulted fabric asks the served DegradedOracle, i.e. this oracle again.
-// From a switch it is 1 (ejection) plus one hop per differing grid
-// coordinate (rows and columns are fully connected).
+// is grid_distance() — never hop_distance(), which on a faulted fabric
+// asks the served DegradedOracle, i.e. this oracle again. From a switch it
+// is 1 (ejection) plus one hop per differing grid coordinate (rows and
+// columns are fully connected).
 class HyperX::Oracle final : public RoutingOracle {
  public:
   explicit Oracle(const HyperX& t) : RoutingOracle(t.graph()), t_(t) {
@@ -62,6 +63,27 @@ HyperX::HyperX(HyperXParams params) : params_(params) {
   set_routing_oracle(std::make_unique<Oracle>(*this));
 }
 
+LinkId HyperX::switch_link(int from, int to) const {
+  const int x = params_.x, y = params_.y;
+  // Index of pair lo < hi among the n*(n-1)/2 upper-triangle pairs.
+  auto pair = [](int lo, int hi, int n) {
+    return static_cast<LinkId>(lo * (2 * n - lo - 1) / 2 + (hi - lo - 1));
+  };
+  const int c1 = from % x, r1 = from / x, c2 = to % x, r2 = to / x;
+  const LinkId row_pairs = static_cast<LinkId>(x * (x - 1) / 2);
+  LinkId cable, reverse;
+  if (r1 == r2) {
+    cable = r1 * row_pairs + pair(std::min(c1, c2), std::max(c1, c2), x);
+    reverse = c1 > c2;
+  } else {
+    assert(c1 == c2 && "switches share neither row nor column");
+    cable = y * row_pairs + c1 * static_cast<LinkId>(y * (y - 1) / 2) +
+            pair(std::min(r1, r2), std::max(r1, r2), y);
+    reverse = r1 > r2;
+  }
+  return uplink(num_endpoints()) + 2 * cable + reverse;
+}
+
 void HyperX::sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
                          RouteMode mode) const {
   if (faulted() || mode != RouteMode::kMinimal)
@@ -86,22 +108,18 @@ void HyperX::route(int src, int dst, int stratum, Rng& rng,
   (void)rng;
   out.clear();
   if (src == dst) return;
-  int s1 = src / params_.endpoints_per_switch;
-  int s2 = dst / params_.endpoints_per_switch;
-  NodeId cur = switches_[s1];
-  out.push_back(graph_.find_link(endpoint_node(src), cur));
+  const int s1 = src / params_.endpoints_per_switch;
+  const int s2 = dst / params_.endpoints_per_switch;
+  out.push_back(uplink(src));
   if (s1 != s2) {
-    int c1 = s1 % params_.x, r1 = s1 / params_.x;
-    int c2 = s2 % params_.x, r2 = s2 / params_.x;
-    bool x_first = (stratum & 1) != 0;
-    auto hop = [&](int to_switch) {
-      NodeId next = switches_[to_switch];
-      LinkId l = graph_.find_link(cur, next);
-      assert(l != kInvalidLink);
-      out.push_back(l);
+    const int c1 = s1 % params_.x, r1 = s1 / params_.x;
+    const int c2 = s2 % params_.x, r2 = s2 / params_.x;
+    int cur = s1;
+    auto hop = [&](int next) {
+      out.push_back(switch_link(cur, next));
       cur = next;
     };
-    if (x_first) {
+    if ((stratum & 1) != 0) {  // x first
       if (c1 != c2) hop(switch_at(c2, r1));
       if (r1 != r2) hop(switch_at(c2, r2));
     } else {
@@ -109,7 +127,7 @@ void HyperX::route(int src, int dst, int stratum, Rng& rng,
       if (c1 != c2) hop(switch_at(c2, r2));
     }
   }
-  out.push_back(graph_.find_link(cur, endpoint_node(dst)));
+  out.push_back(downlink(dst));
 }
 
 }  // namespace hxmesh::topo

@@ -37,10 +37,6 @@ class HyperX : public Topology {
     auto rail = [&](int n) { return 2 * n <= params_.radix ? 2 : 4; };
     return rail(params_.x) + rail(params_.y);
   }
-  int hop_distance(int src, int dst) const override {
-    if (faulted()) return Topology::hop_distance(src, dst);
-    return grid_distance(src, dst);
-  }
 
   /// Closed-form hop distance of the healthy HyperX (fault-blind; the
   /// oracle's endpoint-to-endpoint answer on the fabric as built).
@@ -61,6 +57,19 @@ class HyperX : public Topology {
 
   const HyperXParams& params() const { return params_; }
   int switch_at(int col, int row) const { return row * params_.x + col; }
+
+  // Link ids by arithmetic, following the constructor's add order: the
+  // endpoint cables come first (rank r's up-link 2r, down-link 2r+1), then
+  // each row's switch pairs c1 < c2 in upper-triangle order, then each
+  // column's. A cable's first link runs from the lower to the higher
+  // coordinate; its reverse is id + 1.
+
+  /// Endpoint `rank` -> its switch.
+  LinkId uplink(int rank) const { return 2 * static_cast<LinkId>(rank); }
+  /// Switch -> endpoint `rank`.
+  LinkId downlink(int rank) const { return uplink(rank) + 1; }
+  /// Switch `from` -> switch `to` (distinct, sharing a row or a column).
+  LinkId switch_link(int from, int to) const;
 
  private:
   class Oracle;  // closed-form routing oracle (defined in hyperx.cpp)

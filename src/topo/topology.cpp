@@ -1,14 +1,12 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <mutex>
 
 namespace hxmesh::topo {
 
 namespace {
-constexpr std::size_t kDistCacheCap = 2048;
-
 // Fixed substream index of the fault-victim draw: keeps fault RNG
 // consumption disjoint from the per-flow substreams even when a sweep
 // reuses one seed for both axes.
@@ -55,11 +53,36 @@ const RoutingOracle& Topology::routing_oracle() const {
   // Graphs without a closed form: reverse BFS.
   std::call_once(oracle_once_, [&] {
     if (oracle_)
-      fallback_oracle_ = std::make_unique<DegradedOracle>(*oracle_);
+      degraded_ = std::make_unique<DegradedOracle>(*oracle_);
     else
-      fallback_oracle_ = std::make_unique<BfsOracle>(graph_);
+      bfs_ = std::make_unique<BfsOracle>(graph_);
   });
-  return *fallback_oracle_;
+  if (degraded_) return *degraded_;
+  return *bfs_;
+}
+
+const DegradedOracle::View* Topology::fault_view(NodeId dst_node) const {
+  if (!oracle_ || !graph_.has_failed_links()) return nullptr;
+  routing_oracle();  // makes degraded_
+  const DegradedOracle::View& view = degraded_->patched(dst_node);
+  if (view.cut_off() != kInvalidNode)
+    throw_disconnected(view.cut_off(), dst_node);
+  return &view;
+}
+
+void Topology::throw_disconnected(NodeId from, NodeId dst_node) const {
+  throw DisconnectedError(name() + ": link faults disconnect endpoint " +
+                          std::to_string(rank_of_node_[from]) +
+                          " from endpoint " +
+                          std::to_string(rank_of_node_[dst_node]));
+}
+
+int Topology::hop_distance(int src, int dst) const {
+  const RoutingOracle& oracle = routing_oracle();
+  const NodeId from = endpoint_node(src), goal = endpoint_node(dst);
+  if (oracle.closed_form()) return oracle.node_dist(from, goal);
+  if (const auto* view = fault_view(goal)) return view->dist(from);
+  return (*dist_field(goal))[from];
 }
 
 void Topology::fail_links(std::span<const LinkId> links) {
@@ -67,10 +90,8 @@ void Topology::fail_links(std::span<const LinkId> links) {
     graph_.set_link_failed(l);
     graph_.set_link_failed(l ^ 1u);  // duplex partner (add_duplex pairs)
   }
-  // Cached fields describe the pre-fault graph; drop them.
-  std::unique_lock lock(dist_mutex_);
-  dist_cache_.clear();
-  dist_cache_order_.clear();
+  // Views of earlier queries describe the earlier fault set.
+  if (degraded_) degraded_ = std::make_unique<DegradedOracle>(*oracle_);
 }
 
 void Topology::apply_faults(const FaultSpec& spec) {
@@ -122,19 +143,9 @@ void Topology::apply_faults(const FaultSpec& spec) {
 }
 
 Topology::DistField Topology::dist_field(NodeId dst_node) const {
-  {
-    std::shared_lock lock(dist_mutex_);
-    auto it = dist_cache_.find(dst_node);
-    if (it != dist_cache_.end()) {
-      detail::count_dist_cache_hit();
-      return it->second;
-    }
-  }
-  // The fill runs outside the lock: the graph is immutable after
-  // construction, and concurrent engines should not serialize on each
-  // other's misses. Endpoint destinations go through the oracle (closed
-  // form on every built-in family, repaired when faulted); switch
-  // destinations — which no hot path requests — keep the reverse BFS.
+  // Endpoint destinations go through the oracle (closed form on every
+  // built-in family, patched when faulted); switch destinations — which
+  // no hot path requests — keep the reverse BFS.
   auto field = std::make_shared<std::vector<std::int32_t>>();
   if (graph_.kind(dst_node) == NodeKind::kEndpoint) {
     routing_oracle().fill(dst_node, *field);
@@ -143,29 +154,13 @@ Topology::DistField Topology::dist_field(NodeId dst_node) const {
       // Faults may partition the fabric; surface that as a typed error at
       // fill time instead of letting -1 distances silently poison route
       // tables and rate solvers downstream.
-      for (std::size_t r = 0; r < endpoints_.size(); ++r)
-        if ((*field)[endpoints_[r]] < 0)
-          throw DisconnectedError(
-              name() + ": link faults disconnect endpoint " +
-              std::to_string(r) + " from endpoint " +
-              std::to_string(rank_of_node_[dst_node]));
+      for (NodeId e : endpoints_)
+        if ((*field)[e] < 0) throw_disconnected(e, dst_node);
     }
   } else {
     *field = graph_.dist_to(dst_node);
     detail::count_fill(false);
   }
-  std::unique_lock lock(dist_mutex_);
-  auto it = dist_cache_.find(dst_node);
-  if (it != dist_cache_.end()) return it->second;  // raced: keep the first
-  if (dist_cache_.size() >= kDistCacheCap) {
-    // FIFO eviction keeps memory bounded on large machines; shared_ptr
-    // keeps evicted fields alive for threads still reading them.
-    NodeId victim = dist_cache_order_.front();
-    dist_cache_order_.pop_front();
-    dist_cache_.erase(victim);
-  }
-  dist_cache_order_.push_back(dst_node);
-  dist_cache_.emplace(dst_node, field);
   return field;
 }
 
@@ -174,28 +169,46 @@ void Topology::sample_path(int src, int dst, Rng& rng,
   if (mode == RouteMode::kValiant) return sample_valiant_path(src, dst, rng, out);
   if (mode == RouteMode::kUgal && rng.uniform(2) != 0)
     return sample_valiant_path(src, dst, rng, out);
-  // Minimal (also UGAL's minimal half): random minimal walk over the BFS
-  // distance field — at each node pick uniformly among healthy links that
-  // strictly decrease the distance.
+  // Minimal (also UGAL's minimal half): random minimal walk — at each node
+  // pick uniformly among healthy links that strictly decrease the
+  // distance, in out-link order.
   out.clear();
   NodeId cur = endpoint_node(src);
-  NodeId goal = endpoint_node(dst);
+  const NodeId goal = endpoint_node(dst);
   if (cur == goal) return;
-  DistField field = dist_field(goal);
-  const auto& dist = *field;
-  assert(dist[cur] >= 0 && "destination unreachable");
-  std::vector<LinkId> cand;
-  while (cur != goal) {
-    cand.clear();
-    for (LinkId l : graph_.out_links(cur))
-      if (!graph_.link_failed(l) &&
-          dist[graph_.link(l).dst] == dist[cur] - 1)
-        cand.push_back(l);
-    assert(!cand.empty());
-    LinkId pick = cand[rng.uniform(cand.size())];
-    out.push_back(pick);
-    cur = graph_.link(pick).dst;
-  }
+  // The subflows of one flow walk the same nodes toward the same
+  // destination back to back, so each thread keeps the candidate lists of
+  // the nodes it walked last, keyed by the serial of the view they came
+  // from (0: a fresh field, not kept).
+  struct Candidates {
+    std::uint64_t serial = 0;
+    NodeId node = kInvalidNode;
+    std::vector<LinkId> links;
+  };
+  thread_local std::array<Candidates, 16> memo;
+  auto walk = [&](auto&& dist, std::uint64_t serial) {
+    std::int32_t d = dist(cur);
+    assert(d >= 0 && "destination unreachable");
+    for (; cur != goal; --d) {
+      Candidates& c = memo[cur % memo.size()];
+      if (serial == 0 || c.serial != serial || c.node != cur) {
+        c.serial = serial;
+        c.node = cur;
+        c.links.clear();
+        for (LinkId l : graph_.out_links(cur))
+          if (!graph_.link_failed(l) && dist(graph_.link(l).dst) == d - 1)
+            c.links.push_back(l);
+      }
+      assert(!c.links.empty());
+      const LinkId pick = c.links[rng.uniform(c.links.size())];
+      out.push_back(pick);
+      cur = graph_.link(pick).dst;
+    }
+  };
+  if (const auto* view = fault_view(goal))
+    return walk([view](NodeId n) { return view->dist(n); }, view->serial());
+  const DistField field = dist_field(goal);
+  walk([&f = *field](NodeId n) { return f[n]; }, 0);
 }
 
 void Topology::sample_path_stratified(int src, int dst, int k, int num_strata,

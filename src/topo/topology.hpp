@@ -13,15 +13,12 @@
 /// \file
 /// \brief Topology — the base class of every network family (HammingMesh,
 /// fat tree, Dragonfly, HyperX, torus), modeling one network plane with a
-/// closed-form routing oracle and a thread-safe distance-field cache.
+/// closed-form routing oracle.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -81,12 +78,16 @@ class Topology {
 
   /// Samples a random path (link id sequence) from the endpoint `src` to
   /// the endpoint `dst` under `mode`. kMinimal (the default) draws a
-  /// uniformly random minimal path: the base walks the BFS distance field
-  /// (exact minimal, cached per destination, failed links skipped);
-  /// topologies override it with closed-form constructions for speed at
+  /// uniformly random minimal path: the base walks the distances toward
+  /// `dst` (a faulted built-in family's patched view, O(path length) per
+  /// path; a fresh dist_field on a graph without a closed form),
+  /// picking uniformly among the healthy out-links one hop closer.
+  /// Topologies override it with closed-form constructions for speed at
   /// scale, deferring back to the base when the fabric is degraded or the
   /// mode is non-minimal (unless they implement it natively, as
   /// HammingMesh does).
+  /// \throws DisconnectedError when a faulted fabric leaves an endpoint
+  /// unable to reach `dst`.
   virtual void sample_path(int src, int dst, Rng& rng,
                            std::vector<LinkId>& out,
                            RouteMode mode = RouteMode::kMinimal) const;
@@ -114,25 +115,19 @@ class Topology {
   /// Closed-form diameter per the formulas in Section III-B of the paper.
   virtual int diameter_formula() const { return diameter(); }
 
-  /// Minimal hop distance in cables between two accelerators. The default
-  /// asks a closed-form routing oracle directly (O(1)) and falls back to
-  /// the cached distance field otherwise; topologies with endpoint-level
-  /// closed forms still override it to skip the virtual oracle hop.
-  virtual int hop_distance(int src, int dst) const {
-    const RoutingOracle& oracle = routing_oracle();
-    if (oracle.closed_form())
-      return oracle.node_dist(endpoint_node(src), endpoint_node(dst));
-    return (*dist_field(endpoint_node(dst)))[endpoint_node(src)];
-  }
+  /// Minimal hop distance in cables between two accelerators: a
+  /// closed-form oracle's O(1) answer, a faulted built-in family's patched
+  /// view toward `dst`, a distance field otherwise.
+  /// \throws DisconnectedError as sample_path does.
+  int hop_distance(int src, int dst) const;
 
-  /// Hop-distance field to `dst_node` (bounded cache; misses are rendered
-  /// by the routing oracle — an O(V) closed-form fill on every built-in
-  /// family, repaired for failed links on a faulted one, reverse BFS
-  /// otherwise). Used by the packet-level simulator's route tables.
-  /// Thread-safe: concurrent engines share one Topology, so the cache is
-  /// guarded by a shared_mutex and fields are handed out as shared_ptr — a
-  /// field stays alive for its users even after FIFO eviction drops it
-  /// from the cache.
+  /// Hop-distance field to `dst_node`, rendered by the routing oracle: an
+  /// O(V) closed-form fill on every built-in family (patched for failed
+  /// links on a faulted one), reverse BFS otherwise. For the whole-field
+  /// consumers — packet-simulator route tables and deadlock analysis —
+  /// which build their own per-destination state from it once; flow path
+  /// sampling never asks for it. Thread-safe: every call renders its own
+  /// field.
   /// \throws DisconnectedError when a faulted fabric leaves an endpoint
   /// unable to reach `dst_node`.
   using DistField = std::shared_ptr<const std::vector<std::int32_t>>;
@@ -141,12 +136,12 @@ class Topology {
   /// The routing oracle of this topology. Every built-in family installs a
   /// closed-form oracle at construction, which describes the fabric as
   /// built. Once links have failed, a DegradedOracle over that closed form
-  /// is served instead: each field is the healthy closed-form fill plus an
-  /// exact decremental repair of the nodes the failed links push farther
-  /// away (closed_form() is false, so callers work field at a time through
-  /// dist_field). Only a topology without a closed form gets a BfsOracle,
-  /// which runs a whole-graph reverse BFS per field. Valid for the
-  /// topology's lifetime.
+  /// is served instead: per destination, the healthy closed form plus a
+  /// sparse patch of the nodes the failed links push farther away
+  /// (closed_form() is false; sample_path and hop_distance read its
+  /// patched views, whole-field consumers go through dist_field). Only a
+  /// topology without a closed form gets a BfsOracle, which runs a
+  /// whole-graph reverse BFS per field. Valid for the topology's lifetime.
   const RoutingOracle& routing_oracle() const;
 
   // -- link faults ---------------------------------------------------------
@@ -162,7 +157,8 @@ class Topology {
 
   /// Fails the given directed links and their duplex partners (`l ^ 1` —
   /// add_duplex allocates pairs). The test-facing primitive under
-  /// apply_faults; resets the distance-field cache.
+  /// apply_faults; drops the faulted views of earlier queries. Not safe
+  /// concurrently with routing queries.
   void fail_links(std::span<const LinkId> links);
 
   /// True when any link of the graph is failed.
@@ -193,20 +189,22 @@ class Topology {
   Graph graph_;
 
  private:
+  /// The patched view toward `dst_node` when this is a faulted built-in
+  /// family, nullptr otherwise.
+  /// \throws DisconnectedError when an endpoint cannot reach `dst_node`.
+  const DegradedOracle::View* fault_view(NodeId dst_node) const;
+  [[noreturn]] void throw_disconnected(NodeId from, NodeId dst_node) const;
+
   std::vector<NodeId> endpoints_;
   std::vector<std::int32_t> rank_of_node_;
   FaultSpec fault_spec_;
-  // Set by the family constructor (closed form). fallback_oracle_ is made
-  // lazily on first use once it is needed (DegradedOracle over oracle_, or
-  // BfsOracle without one), guarded by oracle_once_.
+  // Set by the family constructor (closed form). The fallback is made
+  // lazily on first use once it is needed (degraded_ over oracle_, or
+  // bfs_ without one), guarded by oracle_once_.
   std::unique_ptr<RoutingOracle> oracle_;
-  mutable std::unique_ptr<RoutingOracle> fallback_oracle_;
+  mutable std::unique_ptr<DegradedOracle> degraded_;
+  mutable std::unique_ptr<BfsOracle> bfs_;
   mutable std::once_flag oracle_once_;
-  mutable std::shared_mutex dist_mutex_;
-  mutable std::unordered_map<NodeId, DistField> dist_cache_;
-  // FIFO eviction order; a deque so evicting the oldest entry is O(1)
-  // instead of shifting the whole order vector.
-  mutable std::deque<NodeId> dist_cache_order_;
 };
 
 }  // namespace hxmesh::topo

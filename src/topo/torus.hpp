@@ -35,11 +35,6 @@ class Torus : public Topology {
   void sample_path(int src, int dst, Rng& rng, std::vector<LinkId>& out,
                    RouteMode mode = RouteMode::kMinimal) const override;
 
-  int hop_distance(int src, int dst) const override {
-    if (faulted()) return Topology::hop_distance(src, dst);
-    return ring_distance(src, dst);
-  }
-
   /// Closed-form ring metric of the healthy torus (fault-blind; the
   /// oracle's node_dist on the fabric as built).
   int ring_distance(int src, int dst) const {

@@ -72,14 +72,14 @@ MappedRing CommEnv::rings_strided(int n, int stride) const {
   return measure(rings);
 }
 
-double CommEnv::alltoall_rate(int n) const {
+double CommEnv::alltoall_rate(int n, bool* converged) const {
   engine::FlowEngine solver(topology_, config_);
   double total = 0.0;
   int samples = 0;
   int stride = std::max(1, (n - 1) / 8);
   for (int shift = 1; shift < n; shift += stride) {
     auto flows = flow::shift_pattern(n, shift);
-    solver.solve(flows);
+    if (!solver.solve(flows) && converged) *converged = false;
     for (const flow::Flow& f : flows) total += f.rate;
     samples += n;
   }

@@ -42,8 +42,11 @@ class CommEnv {
   /// Stride rings: for each offset o in [0, stride): {o, o+stride, ...}.
   MappedRing rings_strided(int n, int stride) const;
 
-  /// Steady per-rank alltoall send rate among ranks [0, n) (sampled shifts).
-  double alltoall_rate(int n) const;
+  /// Steady per-rank alltoall send rate among ranks [0, n) (sampled
+  /// shifts). When given, `*converged` is cleared if a shift's max-min
+  /// solve stopped at the filling-round cap (the rate is then a lower
+  /// bound).
+  double alltoall_rate(int n, bool* converged = nullptr) const;
 
   /// Average per-step latency of an alltoall among ranks [0, n).
   double alltoall_alpha(int n) const;

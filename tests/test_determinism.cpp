@@ -317,6 +317,51 @@ TEST(FlowSolverDeterminism, CappedSolvesMatchReferenceAndSayTheyStopped) {
   EXPECT_TRUE(flow::FlowSolver(torus).solve(full));
 }
 
+// Every built-in family gives each link kLinkBandwidthBps, so only a
+// hand-built fabric can tell whether the solver reads each touched link's
+// own capacity. Six switches in a ring with two endpoints each; the
+// cables run at full, half and quarter speed in turn, and every other
+// ring hop has a second, slower parallel cable.
+class MixedSpeedRing final : public topo::Topology {
+ public:
+  MixedSpeedRing() {
+    constexpr int kSwitches = 6;
+    std::vector<topo::NodeId> sw;
+    for (int s = 0; s < kSwitches; ++s) sw.push_back(add_switch());
+    for (int r = 0; r < 2 * kSwitches; ++r) {
+      add_endpoint();
+      cable(endpoint_node(r), sw[r / 2], r);
+    }
+    for (int s = 0; s < kSwitches; ++s) {
+      cable(sw[s], sw[(s + 1) % kSwitches], s + 1);
+      if (s % 2 == 0) cable(sw[s], sw[(s + 1) % kSwitches], s + 2);
+    }
+    finalize();
+  }
+  std::string name() const override { return "mixed-speed ring"; }
+  int planes() const override { return 1; }
+  int ports_per_endpoint() const override { return 1; }
+
+ private:
+  void cable(topo::NodeId a, topo::NodeId b, int i) {
+    graph_.add_duplex(a, b, kLinkBandwidthBps / (1 << (i % 3)),
+                      kCableLatencyPs, topo::CableKind::kDac);
+  }
+};
+
+TEST(FlowSolverDeterminism, MixedLinkSpeedsMatchReference) {
+  const MixedSpeedRing ring;
+  const int n = ring.num_endpoints();
+  std::vector<flow::Flow> flows;
+  for (int shift : {1, 4, 7})
+    for (const flow::Flow& f : flow::shift_pattern(n, shift))
+      flows.push_back(f);
+  Rng rng(3);
+  for (const flow::Flow& f : flow::random_permutation(n, rng))
+    flows.push_back(f);
+  expect_solver_matches_reference(ring, std::move(flows));
+}
+
 // Three flows on a 65,536-link HyperX cross a few dozen links: the
 // per-solve arrays cover only those, and the rates must not notice.
 TEST(FlowSolverDeterminism, SparseFlowsOnALargeGraphMatchReference) {

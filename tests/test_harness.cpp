@@ -1,7 +1,7 @@
 // ExperimentHarness and its concurrency substrate: thread-pool
 // correctness, thread-count-independent sweep results (the JSON rows of a
 // 4-thread grid must equal a 1-thread grid's), and the regression test for
-// the Topology::dist_field cache, which a parallel sweep hammers from many
+// the routing queries a parallel sweep makes of one Topology from many
 // threads at once.
 #include <gtest/gtest.h>
 
@@ -59,42 +59,49 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_EQ(count.load(), 10);
 }
 
-// ------------------------------------------------- dist_field threading ---
+// ------------------------------------------------- routing threading ---
 // Regression test: the lazily-filled BFS cache used to be a data race
-// under any parallel sweep. Hammer one Topology from many threads and
-// check every answer against a privately computed field.
+// under any parallel sweep, and a faulted fabric's per-destination views
+// are built by whichever thread asks first. Hammer one Topology, healthy
+// and faulted, from many threads and check every answer against a
+// privately computed field.
 TEST(TopologyThreading, DistFieldSafeUnderConcurrentAccess) {
-  topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});
-  const int n = hx.num_endpoints();
+  for (bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "faulted" : "healthy");
+    topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});
+    if (faulted)
+      hx.apply_faults(topo::FaultSpec::parse("faults=links:6:seed=3"));
+    const int n = hx.num_endpoints();
 
-  // Ground truth, computed without the cache.
-  std::vector<std::vector<std::int32_t>> truth;
-  for (int dst = 0; dst < n; ++dst)
-    truth.push_back(hx.graph().dist_to(hx.endpoint_node(dst)));
+    // Ground truth: reverse BFS over the (faulted) graph.
+    std::vector<std::vector<std::int32_t>> truth;
+    for (int dst = 0; dst < n; ++dst)
+      truth.push_back(hx.graph().dist_to(hx.endpoint_node(dst)));
 
-  ThreadPool pool(8);
-  std::atomic<int> mismatches{0};
-  pool.parallel_for(512, [&](std::size_t job) {
-    Rng rng(job);
-    std::vector<topo::LinkId> path;
-    for (int iter = 0; iter < 50; ++iter) {
-      int dst = static_cast<int>(rng.uniform(n));
-      auto field = hx.dist_field(hx.endpoint_node(dst));
-      // The handed-out field must stay intact even if other threads evict
-      // and refill the cache underneath.
-      for (int src = 0; src < n; ++src)
-        if ((*field)[hx.endpoint_node(src)] !=
-            truth[dst][hx.endpoint_node(src)])
-          mismatches.fetch_add(1);
-      int src = static_cast<int>(rng.uniform(n));
-      if (src != dst) {
-        hx.sample_path(src, dst, rng, path);
-        if (static_cast<int>(path.size()) != hx.hop_distance(src, dst))
-          mismatches.fetch_add(1);
+    ThreadPool pool(8);
+    std::atomic<int> mismatches{0};
+    pool.parallel_for(512, [&](std::size_t job) {
+      Rng rng(job);
+      std::vector<topo::LinkId> path;
+      for (int iter = 0; iter < 50; ++iter) {
+        int dst = static_cast<int>(rng.uniform(n));
+        auto field = hx.dist_field(hx.endpoint_node(dst));
+        for (int src = 0; src < n; ++src)
+          if ((*field)[hx.endpoint_node(src)] !=
+              truth[dst][hx.endpoint_node(src)])
+            mismatches.fetch_add(1);
+        int src = static_cast<int>(rng.uniform(n));
+        if (src != dst) {
+          const int want = truth[dst][hx.endpoint_node(src)];
+          hx.sample_path(src, dst, rng, path);
+          if (static_cast<int>(path.size()) != want ||
+              hx.hop_distance(src, dst) != want)
+            mismatches.fetch_add(1);
+        }
       }
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0);
+    });
+    EXPECT_EQ(mismatches.load(), 0);
+  }
 }
 
 // ------------------------------------------------------------ harness -----

@@ -3,10 +3,11 @@
 // tree switches), minimal next-hop candidate sets (membership AND order),
 // and sampled-path minimality — for every topology family, including
 // asymmetric boards and degenerate 1-wide meshes. These tests are what
-// license Topology::dist_field to skip BFS on the hot path.
+// license the hot paths (path sampling, dist_field) to skip BFS.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -219,18 +220,16 @@ TEST(RoutingOracle, BfsFallbackMatchesClosedFormOracle) {
   }
 }
 
-// Observability: oracle fills and dist-cache hits must show up in the
-// process-wide counters, and closed-form topologies must not add BFS
-// fills through the dist_field hot path.
-TEST(RoutingOracle, CountersObserveFillsAndCacheHits) {
+// Observability: oracle fills must show up in the process-wide counters,
+// and closed-form topologies must not add BFS fills through dist_field.
+TEST(RoutingOracle, CountersObserveFills) {
   const RoutingCounters before = routing_counters();
   HammingMesh hx({.a = 2, .b = 2, .x = 3, .y = 3});
   const NodeId goal = hx.endpoint_node(5);
-  hx.dist_field(goal);  // miss: one closed-form fill
-  hx.dist_field(goal);  // hit
+  hx.dist_field(goal);
+  hx.dist_field(goal);
   const RoutingCounters after = routing_counters();
-  EXPECT_GE(after.oracle_fills, before.oracle_fills + 1);
-  EXPECT_GE(after.dist_cache_hits, before.dist_cache_hits + 1);
+  EXPECT_EQ(after.oracle_fills, before.oracle_fills + 2);
   EXPECT_EQ(after.bfs_fills, before.bfs_fills);
 }
 
@@ -340,8 +339,9 @@ TEST(RoutingOracle, FaultedHyperXDistancesTerminateAndMatchBfs) {
   }
 }
 
-// A faulted flow cell renders every field through the repaired closed
-// form: oracle fills grow, reverse-BFS fills stay flat.
+// A faulted flow cell samples its paths and hop distances from the
+// patched per-destination views: no whole field is rendered, closed-form
+// or BFS, and the repairs show up as fault views.
 TEST(RoutingOracle, FaultedFlowCellRunsWithoutBfsFills) {
   auto t = engine::make_topology("hx2mesh:8x8:faults=links:8:seed=3");
   ASSERT_TRUE(t->faulted());
@@ -351,7 +351,9 @@ TEST(RoutingOracle, FaultedFlowCellRunsWithoutBfsFills) {
     EXPECT_TRUE(engine->run(flow::parse_traffic(pattern)).numerics_ok)
         << pattern;
   const RoutingCounters after = routing_counters();
-  EXPECT_GT(after.oracle_fills, before.oracle_fills);
+  EXPECT_GT(after.fault_views, before.fault_views);
+  EXPECT_EQ(after.oracle_fills, before.oracle_fills)
+      << "a faulted flow cell rendered whole distance fields";
   EXPECT_EQ(after.bfs_fills, before.bfs_fills)
       << "a faulted HammingMesh fell back to whole-graph BFS";
 }
@@ -383,6 +385,50 @@ TEST(RoutingOracle, DegradedSampledPathsAvoidFailedLinks) {
       ASSERT_EQ(static_cast<int>(path.size()), ref[t->endpoint_node(src)])
           << name << ": degraded sample_path not minimal " << src << "->"
           << dst;
+    }
+  }
+}
+
+// The walk sample_path documents, over a reference BFS: uniform among the
+// healthy out-links one hop closer, in out-link order.
+std::vector<LinkId> reference_walk(const Topology& t, int src, int dst,
+                                   Rng& rng) {
+  const Graph& g = t.graph();
+  const auto dist = reference_bfs_to(g, t.endpoint_node(dst));
+  std::vector<LinkId> path, cand;
+  for (NodeId cur = t.endpoint_node(src); cur != t.endpoint_node(dst);) {
+    cand.clear();
+    for (LinkId l : g.out_links(cur))
+      if (!g.link_failed(l) && dist[g.link(l).dst] == dist[cur] - 1)
+        cand.push_back(l);
+    path.push_back(cand[rng.uniform(cand.size())]);
+    cur = g.link(path.back()).dst;
+  }
+  return path;
+}
+
+// A thread keeps the candidate lists of the nodes it walked last. A new
+// fabric, built where an old one was freed, must not be served the old
+// fabric's lists: instances alternate between one failed cable and that
+// cable plus one their walks take, and every walk must be the reference.
+TEST(RoutingOracle, SampledPathsFollowTheFabricTheyWalk) {
+  const HxMeshParams p{.a = 2, .b = 2, .x = 4, .y = 4};
+  HammingMesh probe(p);
+  const int src = probe.num_endpoints() - 1;  // several hops from 0
+  const LinkId first = probe.graph().out_links(probe.endpoint_node(9))[1];
+  probe.fail_links(std::span(&first, 1));
+  Rng probe_rng(7);
+  const LinkId second = reference_walk(probe, src, 0, probe_rng)[1];
+  for (int round = 0; round < 6; ++round) {
+    auto t = std::make_unique<HammingMesh>(p);
+    t->fail_links(std::span(&first, 1));
+    if (round % 2 == 1) t->fail_links(std::span(&second, 1));
+    Rng rng(7), ref_rng(7);
+    std::vector<LinkId> path;
+    for (int walk = 0; walk < 16; ++walk) {
+      t->sample_path(src, 0, rng, path);
+      ASSERT_EQ(path, reference_walk(*t, src, 0, ref_rng))
+          << "round " << round << " walk " << walk;
     }
   }
 }

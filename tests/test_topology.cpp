@@ -13,6 +13,7 @@
 #include "topo/fattree.hpp"
 #include "topo/graph.hpp"
 #include "topo/hammingmesh.hpp"
+#include "topo/hyperx.hpp"
 #include "topo/torus.hpp"
 
 namespace hxmesh::topo {
@@ -399,6 +400,41 @@ TEST(Diameters, FormulaMatchesOracleDiameterForEveryFamily) {
                                                   .groups = 30}));
   for (const auto& [name, t] : zoo)
     EXPECT_EQ(t->diameter(), t->diameter_formula()) << name;
+}
+
+// HyperX routes by link-id arithmetic instead of searching the adjacency.
+// Every computed id must be the one Graph::find_link returns: each
+// endpoint cable in both directions and every switch pair that shares a
+// row or a column, which together are all of the graph's links.
+TEST(HyperX, ArithmeticLinkIdsMatchFindLink) {
+  for (const HyperXParams& p :
+       {HyperXParams{.x = 3, .y = 5},
+        HyperXParams{.x = 8, .y = 8, .endpoints_per_switch = 2}}) {
+    SCOPED_TRACE(std::to_string(p.x) + "x" + std::to_string(p.y));
+    HyperX hx(p);
+    const Graph& g = hx.graph();
+    // A switch's node, found through the adjacency alone.
+    auto switch_node = [&](int s) {
+      const NodeId e = hx.endpoint_node(s * p.endpoints_per_switch);
+      return g.link(g.out_links(e)[0]).dst;
+    };
+    for (int r = 0; r < hx.num_endpoints(); ++r) {
+      const NodeId e = hx.endpoint_node(r);
+      const NodeId s = switch_node(r / p.endpoints_per_switch);
+      ASSERT_EQ(hx.uplink(r), g.find_link(e, s)) << "rank " << r;
+      ASSERT_EQ(hx.downlink(r), g.find_link(s, e)) << "rank " << r;
+    }
+    std::size_t checked = 0;
+    for (int a = 0; a < p.x * p.y; ++a)
+      for (int b = 0; b < p.x * p.y; ++b) {
+        if (a == b || (a / p.x != b / p.x && a % p.x != b % p.x)) continue;
+        ASSERT_EQ(hx.switch_link(a, b),
+                  g.find_link(switch_node(a), switch_node(b)))
+            << "switch " << a << " -> " << b;
+        ++checked;
+      }
+    EXPECT_EQ(checked + 2 * hx.num_endpoints(), g.num_links());
+  }
 }
 
 // Rank/coordinate round-trips.
