@@ -36,13 +36,28 @@ int main() {
   std::vector<std::string> model_names;
   for (const auto& r : evals.front().results) model_names.push_back(r.model);
 
+  // A result built on a ring or alltoall solve that stopped at the
+  // filling-round cap is an upper bound on the time; it is printed with a
+  // mark, and so is every saving computed from it.
+  bool any_capped = false;
+  auto mark = [&](bool converged) {
+    any_capped |= !converged;
+    return converged ? "" : " *";
+  };
+  auto footnote = [&] {
+    if (any_capped)
+      std::printf("* a max-min solve stopped at the filling-round cap "
+                  "(numerics_ok=false): the communication time is an upper "
+                  "bound, not the model's answer.\n");
+  };
+
   Table runtimes({"Topology", "ResNet-152", "GPT-3", "GPT-3 MoE",
                   "CosmoFlow", "DLRM"});
   std::vector<JsonObject> json;
   for (std::size_t ti = 0; ti < specs.size(); ++ti) {
     std::vector<std::string> row = {labels[ti]};
     for (const auto& r : evals[ti].results) {
-      row.push_back(fmt(r.iteration_ms, 2));
+      row.push_back(fmt(r.iteration_ms, 2) + mark(r.converged));
       JsonObject obj;
       obj.add("topology", specs[ti])
           .add("label", labels[ti])
@@ -50,12 +65,14 @@ int main() {
           .add("iteration_ms", r.iteration_ms)
           .add("compute_ms", r.compute_ms)
           .add("overhead_ms", r.overhead_ms())
+          .add("numerics_ok", r.converged)
           .add("cost_musd", evals[ti].cost_musd);
       json.push_back(std::move(obj));
     }
     runtimes.add_row(row);
   }
   runtimes.print();
+  footnote();
 
   auto index_of = [&](topo::PaperTopology which) {
     auto list = topo::paper_topology_list();
@@ -79,11 +96,14 @@ int main() {
         double hx_over = std::max(1e-6, evals[hx].results[m].overhead_ms());
         double other_over =
             std::max(1e-6, evals[other].results[m].overhead_ms());
-        row.push_back(fmt(cost_ratio * other_over / hx_over, 1));
+        row.push_back(fmt(cost_ratio * other_over / hx_over, 1) +
+                      mark(evals[hx].results[m].converged &&
+                           evals[other].results[m].converged));
       }
       table.add_row(row);
     }
     table.print();
+    footnote();
   }
   benchutil::write_json_objects("BENCH_fig15.json", json);
   return 0;

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -37,29 +36,26 @@ subcommands:
          run one grid cell; prints its JSON row
   sweep  (--topo SPEC)+ (--pattern SPEC)+ [(--engine NAME)+] [(--seed N)+]
          [--label L]* [--config FILE.json] [--json PATH]
-         [--shards N | --micro-shards M] [--workers K] [--retries R]
+         [--shards N] [--workers K] [--retries R]
          [--shard-timeout SEC] [--retry-backoff SEC] [--progress]
          run the full topology x engine x pattern x seed grid
          (no --seed: each pattern's own seed= applies, default 1).
-         With --shards: partition the grid into N contiguous shards,
-         fork/exec one 'hxmesh shard' worker per shard over K process
-         slots (retrying failed shards R extra times with seeded
+         With --shards: partition the grid into N equal-count contiguous
+         shards, fork/exec one 'hxmesh shard' worker per shard from a
+         queue over K process slots (N > K splits the work finer;
+         failed shards are retried R extra times with seeded
          exponential backoff; a shard exiting 2 is a permanent config
          error and fails the sweep immediately), then merge through
          the shared result cache into the byte-identical single-process
-         row order. --micro-shards instead over-decomposes the grid
-         into M cost-balanced blocks (engine-aware weights) dispatched
-         heaviest-first by the same worker queue, so slow packet cells
-         do not serialize the tail. --shard-timeout arms a watchdog:
-         a shard past its deadline gets SIGTERM, then SIGKILL after a
-         grace period, and reports 'timed-out'. --progress reports each
-         shard attempt as it completes (stderr)
-  shard  --shards N --shard I [grid flags as for sweep] [--manifest PATH]
-         [--weighted] [--attempt A]
+         row order. --shard-timeout arms a watchdog: a shard past its
+         deadline gets SIGTERM, then SIGKILL after a grace period, and
+         reports 'timed-out'. --progress reports each shard attempt as
+         it completes (stderr)
+  shard  --shards N --shard I [grid flags as for sweep] [--attempt A]
          run one shard of the grid: simulate its cells, store them as
-         result-cache entries, and write a coverage manifest
-         (--weighted: take the cost-balanced block; honors the
-         HXMESH_CHAOS fault-injection spec, see below)
+         result-cache entries, and write a coverage manifest under the
+         cache directory (honors the HXMESH_CHAOS fault-injection spec,
+         see below)
   ls     [engines|topologies|patterns]
          list registered engines, topology families, pattern grammar
   cache  stats|clear|prune [--cache-dir DIR]
@@ -165,11 +161,8 @@ struct SweepOptions {
   unsigned workers = 0;       // 0: min(shards, hardware)
   unsigned retries = 1;       // extra attempts per failed shard
   bool progress = false;      // per-shard completion reporting (stderr)
-  std::string manifest_path;  // shard subcommand output (default derived)
-  unsigned micro_shards = 0;     // sweep: cost-balanced over-decomposition
   double shard_timeout_s = 0;    // sweep: per-shard watchdog (0 = off)
   double retry_backoff_s = 0.25; // sweep: base retry delay
-  bool weighted = false;         // shard: take the cost-balanced block
   int attempt = 0;               // shard: attempt number (0 = unset -> 1)
 };
 
@@ -379,6 +372,8 @@ int do_sweep_sharded(const SweepOptions& opt,
       shard_meta_dir(opt.cache_dir) + "/" + fingerprint + ".grid.json";
   write_file_atomic(grid_file, render_grids_json(grids));
 
+  // Each worker writes its manifest to default_manifest_path, derived from
+  // the same fingerprint, so the paths need not be passed down.
   std::vector<std::string> manifest_paths;
   manifest_paths.reserve(opt.shards);
   for (unsigned i = 0; i < opt.shards; ++i) {
@@ -400,45 +395,6 @@ int do_sweep_sharded(const SweepOptions& opt,
       opt.threads > 0 ? opt.threads
                       : static_cast<int>(std::max(1u, hardware / workers));
 
-  // Weighted mode dispatches the heaviest micro-shards first: with a
-  // dynamic queue, the worst tail is one heavy block starting last, and
-  // sorting by estimated cost removes exactly that case. The order is a
-  // scheduling hint only — coverage and row order never depend on it.
-  std::vector<std::uint64_t> shard_costs(opt.shards, 0);
-  for (unsigned i = 0; i < opt.shards; ++i) {
-    const auto [lo, hi] = opt.weighted
-                              ? plan.weighted_shard_cells(i, opt.shards)
-                              : plan.shard_cells(i, opt.shards);
-    for (std::size_t c = lo; c < hi; ++c) shard_costs[i] += plan.cell_cost(c);
-  }
-  std::vector<unsigned> order;
-  if (opt.weighted) {
-    order.resize(opt.shards);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
-      return shard_costs[a] > shard_costs[b];
-    });
-    // Tail-latency evidence: estimated makespan of this schedule vs the
-    // static contiguous split into one shard per worker.
-    std::uint64_t static_makespan = 0;
-    for (unsigned w = 0; w < workers; ++w) {
-      const auto [lo, hi] = plan.shard_cells(w, workers);
-      std::uint64_t cost = 0;
-      for (std::size_t c = lo; c < hi; ++c) cost += plan.cell_cost(c);
-      static_makespan = std::max(static_makespan, cost);
-    }
-    std::vector<std::uint64_t> ordered_costs;
-    ordered_costs.reserve(opt.shards);
-    for (unsigned i : order) ordered_costs.push_back(shard_costs[i]);
-    const std::uint64_t micro_makespan =
-        engine::estimate_makespan(ordered_costs, workers);
-    err << "sched: " << plan.total_cells() << " cells as " << opt.shards
-        << " weighted micro-shards over " << workers
-        << " worker(s); est. makespan " << micro_makespan
-        << " cost units (static " << workers << "-shard split: "
-        << static_makespan << ")\n";
-  }
-
   const std::string exe = self_exe_path();
   auto launch = [&](unsigned shard, int attempt) {
     std::vector<std::string> argv = {exe,
@@ -449,15 +405,12 @@ int do_sweep_sharded(const SweepOptions& opt,
                                      std::to_string(opt.shards),
                                      "--shard",
                                      std::to_string(shard),
-                                     "--manifest",
-                                     manifest_paths[shard],
                                      "--cache-dir",
                                      opt.cache_dir,
                                      "--threads",
                                      std::to_string(child_threads),
                                      "--attempt",
                                      std::to_string(attempt)};
-    if (opt.weighted) argv.push_back("--weighted");
     CommandOptions options;
     options.timeout_s = opt.shard_timeout_s;
     options.capture_stderr = true;
@@ -511,8 +464,8 @@ int do_sweep_sharded(const SweepOptions& opt,
   // the same backoff schedule.
   policy.seed = Fnv1a().update(fingerprint).digest();
 
-  const auto runs = engine::run_shard_jobs(opt.shards, workers, policy,
-                                           launch, progress, order);
+  const auto runs =
+      engine::run_shard_jobs(opt.shards, workers, policy, launch, progress);
   unsigned failed = 0;
   for (const engine::ShardRun& run : runs) {
     if (run.ok() && run.attempts > 1)
@@ -572,21 +525,10 @@ int do_sweep_sharded(const SweepOptions& opt,
 }
 
 int do_sweep(SweepOptions opt, std::ostream& out, std::ostream& err) {
-  if (opt.weighted)
-    usage_error("sweep: --weighted applies to the shard subcommand");
   if (opt.attempt != 0)
     usage_error("sweep: --attempt applies to the shard subcommand");
-  if (opt.micro_shards > 0) {
-    if (opt.shards > 0)
-      usage_error("sweep: --micro-shards replaces --shards (pick one)");
-    // Over-decomposition: many cost-balanced blocks over few workers,
-    // scheduled dynamically. The plan partition is the weighted one, so
-    // the shard children must take their ranges from it too.
-    opt.shards = opt.micro_shards;
-    opt.weighted = true;
-  }
   if (opt.shards == 0 && opt.shard_timeout_s > 0)
-    usage_error("sweep: --shard-timeout needs --shards or --micro-shards");
+    usage_error("sweep: --shard-timeout needs --shards");
   const auto grids = final_grids(opt);
   if (opt.shards > 0) return do_sweep_sharded(opt, grids, out, err);
 
@@ -611,9 +553,8 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
                 "(drop --no-cache)");
   if (opt.progress)
     usage_error("shard: --progress applies to the sweep orchestrator");
-  if (opt.micro_shards > 0 || opt.shard_timeout_s > 0)
-    usage_error("shard: --micro-shards/--shard-timeout apply to the sweep "
-                "orchestrator");
+  if (opt.shard_timeout_s > 0)
+    usage_error("shard: --shard-timeout applies to the sweep orchestrator");
   const int attempt = opt.attempt > 0 ? opt.attempt : 1;
 
   // Deterministic fault injection: a malformed spec is a config error
@@ -639,14 +580,12 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
   const engine::GridPlan plan(grids);
   engine::ExperimentHarness harness(opt.threads);
   engine::ResultCache cache(opt.cache_dir);
-  const engine::ShardManifest manifest = engine::run_shard(
-      harness, plan, static_cast<unsigned>(opt.shard_index), opt.shards,
-      cache, opt.weighted);
+  const engine::ShardManifest manifest =
+      engine::run_shard(harness, plan, static_cast<unsigned>(opt.shard_index),
+                        opt.shards, cache);
 
-  std::string path = opt.manifest_path;
-  if (path.empty())
-    path = default_manifest_path(opt.cache_dir, plan.fingerprint(),
-                                 manifest.shard, manifest.shards);
+  const std::string path = default_manifest_path(
+      opt.cache_dir, plan.fingerprint(), manifest.shard, manifest.shards);
   write_file_atomic(path, engine::render_manifest(manifest));
   err << "shard " << manifest.shard << "/" << manifest.shards << ": cells ["
       << manifest.cell_lo << ", " << manifest.cell_hi << ") — "
@@ -658,8 +597,8 @@ int do_shard(SweepOptions opt, std::ostream& out, std::ostream& err) {
 // `run` is a one-cell sweep sharing the whole cached pipeline; the only
 // difference is output shape (one object, not an array).
 int do_run(SweepOptions opt, std::ostream& out, std::ostream& err) {
-  if (opt.shards != 0 || opt.shard_index >= 0 || opt.micro_shards != 0 ||
-      opt.shard_timeout_s > 0 || opt.weighted || opt.attempt != 0)
+  if (opt.shards != 0 || opt.shard_index >= 0 || opt.shard_timeout_s > 0 ||
+      opt.attempt != 0)
     usage_error("run: sharding flags apply to sweep and shard only");
   if (opt.progress)
     usage_error("run: --progress applies to the sweep orchestrator");
@@ -735,17 +674,10 @@ SweepOptions parse_grid_flags(const std::vector<std::string>& args,
           parse_bounded(flag, need_value(args, i), 1 << 20));
     else if (flag == "--progress")
       opt.progress = true;
-    else if (flag == "--manifest")
-      opt.manifest_path = need_value(args, i);
-    else if (flag == "--micro-shards")
-      opt.micro_shards = static_cast<unsigned>(
-          parse_bounded(flag, need_value(args, i), 1 << 20));
     else if (flag == "--shard-timeout")
       opt.shard_timeout_s = parse_seconds(flag, need_value(args, i));
     else if (flag == "--retry-backoff")
       opt.retry_backoff_s = parse_seconds(flag, need_value(args, i));
-    else if (flag == "--weighted")
-      opt.weighted = true;
     else if (flag == "--attempt")
       opt.attempt = static_cast<int>(
           parse_bounded(flag, need_value(args, i), 1 << 20));

@@ -1,101 +1,11 @@
 #include "engine/grid_plan.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <optional>
 #include <stdexcept>
 
 #include "core/hash.hpp"
 #include "engine/result_cache.hpp"
 
 namespace hxmesh::engine {
-
-namespace {
-
-// Splits "a:b:c" on ':' (the factory's spec-group separator).
-std::vector<std::string> split_colon(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i)
-    if (i == text.size() || text[i] == ':') {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
-  return out;
-}
-
-// "16x16" -> 256, "48" -> 48; nullopt on anything else. Only used for the
-// cost estimate, so it is deliberately stricter than the factory parser:
-// a token it cannot read just falls through to the flat default.
-std::optional<std::uint64_t> dims_product(const std::string& token) {
-  std::uint64_t product = 1, value = 0;
-  bool any_digit = false;
-  for (char c : token) {
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-      any_digit = true;
-    } else if (c == 'x' && any_digit) {
-      product *= value;
-      value = 0;
-      any_digit = false;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!any_digit) return std::nullopt;
-  return product * value;
-}
-
-// Relative per-engine cost factor: the packet engine simulates every
-// packet and is orders of magnitude slower per endpoint than the
-// flow-level solve of the same cell.
-std::uint64_t engine_cost_factor(const std::string& engine) {
-  return engine == "packet" ? 256 : 1;
-}
-
-// Relative per-pattern cost factor: alltoall runs a whole shift ensemble,
-// allreduce two ring phases; everything else is one flow set.
-std::uint64_t pattern_cost_factor(const flow::TrafficSpec& pattern) {
-  switch (pattern.kind) {
-    case flow::PatternKind::kAlltoall: return 8;
-    case flow::PatternKind::kAllreduce: return 2;
-    default: return 1;
-  }
-}
-
-}  // namespace
-
-std::uint64_t GridPlan::estimate_endpoints(const std::string& spec) {
-  constexpr std::uint64_t kFallback = 64;
-  const std::vector<std::string> groups = split_colon(spec);
-  if (groups.empty()) return kFallback;
-  std::string family = groups[0];
-  std::transform(family.begin(), family.end(), family.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  // Positional dims groups only; option groups ("faults=...", "seed=...")
-  // contain '=' and are skipped.
-  std::vector<std::uint64_t> dims;
-  for (std::size_t i = 1; i < groups.size(); ++i) {
-    if (groups[i].find('=') != std::string::npos) continue;
-    if (std::optional<std::uint64_t> d = dims_product(groups[i]))
-      dims.push_back(*d);
-  }
-  auto dim = [&](std::size_t i) { return i < dims.size() ? dims[i] : 0; };
-  if (family == "hxmesh" && dims.size() >= 2) return dim(0) * dim(1);
-  if (family == "hx2mesh" && !dims.empty()) return 4 * dim(0);
-  if (family == "hx4mesh" && !dims.empty()) return 16 * dim(0);
-  if ((family == "hyperx" || family == "torus") && !dims.empty()) return dim(0);
-  if (family == "fattree" && !dims.empty()) return dim(0);
-  if (family == "dragonfly") {
-    // a:p:h:g — a routers of p endpoints per group, g groups.
-    if (dims.size() >= 4) return dim(0) * dim(1) * dim(3);
-    if (dims.size() == 3) return dim(0) * dim(1) * dim(2);
-    if (groups.size() >= 2 && groups[1] == "large")
-      return 16320;  // 32 routers x 17 endpoints x 30 groups
-    return 1024;
-  }
-  return kFallback;
-}
 
 GridPlan::GridPlan(std::vector<GridSpec> grids) : grids_(std::move(grids)) {
   dims_.reserve(grids_.size());
@@ -119,8 +29,6 @@ GridPlan::GridPlan(std::vector<GridSpec> grids) : grids_(std::move(grids)) {
 
     const std::size_t cells_per_job = dims.np * dims.ns;
     for (std::size_t ti = 0; ti < dims.nt; ++ti) {
-      const std::uint64_t endpoints =
-          std::max<std::uint64_t>(1, estimate_endpoints(config.topologies[ti]));
       const std::size_t slot = topo_specs_.size();
       topo_specs_.push_back(config.topologies[ti]);
       // Batch slots by spec string (first-appearance numbering): repeated
@@ -139,28 +47,11 @@ GridPlan::GridPlan(std::vector<GridSpec> grids) : grids_(std::move(grids)) {
         job.last_cell = total_cells_ + cells_per_job;
         job.topo_slot = slot;
         job.engine = config.engines[ei];
-        // Scheduling weights, in cell order (pattern-major, seed-minor —
-        // the same order the cells are numbered in).
-        const std::uint64_t engine_factor =
-            engine_cost_factor(config.engines[ei]);
-        for (std::size_t pi = 0; pi < dims.np; ++pi) {
-          const std::uint64_t cost = std::max<std::uint64_t>(
-              1, endpoints * engine_factor *
-                     pattern_cost_factor(config.patterns[pi]));
-          for (std::size_t si = 0; si < dims.ns; ++si)
-            cell_costs_.push_back(cost);
-        }
         jobs_.push_back(std::move(job));
         total_cells_ += cells_per_job;
       }
     }
   }
-
-  cost_prefix_.reserve(cell_costs_.size() + 1);
-  cost_prefix_.push_back(0);
-  for (std::uint64_t cost : cell_costs_)
-    cost_prefix_.push_back(cost_prefix_.back() + cost);
-  total_cost_ = cost_prefix_.back();
 
   // Fingerprint: every axis value in order, plus the cache schema version,
   // so two plans agree on the hex string iff they describe the same cells.
@@ -215,33 +106,6 @@ std::string GridPlan::cell_key(std::size_t cell) const {
   const SweepRow row = cell_row(cell);
   return ResultCache::cell_key(row.topology, row.engine, row.pattern,
                                row.seed);
-}
-
-std::pair<std::size_t, std::size_t> GridPlan::weighted_shard_cells(
-    unsigned shard, unsigned shards) const {
-  if (shards == 0 || shard >= shards)
-    throw std::invalid_argument("weighted_shard_cells: shard " +
-                                std::to_string(shard) + " of " +
-                                std::to_string(shards));
-  // Boundary k is the first index whose cost prefix reaches k/shards of
-  // the total cost. Boundaries are monotone in k with boundary(0) == 0 and
-  // boundary(shards) == total_cells() (costs are >= 1, so the prefix is
-  // strictly increasing), which makes the blocks an exact contiguous
-  // cover — the same merge invariant as the unweighted shard_range.
-  auto boundary = [&](unsigned k) {
-    const unsigned __int128 target =
-        static_cast<unsigned __int128>(total_cost_) * k;
-    std::size_t lo = 0, hi = total_cells_;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (static_cast<unsigned __int128>(cost_prefix_[mid]) * shards >= target)
-        hi = mid;
-      else
-        lo = mid + 1;
-    }
-    return lo;
-  };
-  return {boundary(shard), boundary(shard + 1)};
 }
 
 std::pair<std::size_t, std::size_t> GridPlan::shard_range(std::size_t total,

@@ -152,7 +152,9 @@ class GridPlan {
   /// — including awkward counts that do not divide `total` and counts
   /// larger than `total` (trailing shards are empty). Contiguity keeps
   /// topology-major locality inside each shard and makes a merged result
-  /// a plain concatenation.
+  /// a plain concatenation. This is the one partition: the orchestrator
+  /// hands its blocks to a dynamic worker queue, so a finer split is just
+  /// a larger `shards`.
   static std::pair<std::size_t, std::size_t> shard_range(std::size_t total,
                                                          unsigned shard,
                                                          unsigned shards);
@@ -162,41 +164,6 @@ class GridPlan {
                                                   unsigned shards) const {
     return shard_range(total_cells_, shard, shards);
   }
-
-  // -- cost model: weighted micro-shard partition ------------------------
-
-  /// \brief Estimated relative cost of one cell, in abstract units.
-  ///
-  /// Engine-aware: packet cells simulate every packet and cost orders of
-  /// magnitude more than flow cells of the same size, so the model scales
-  /// an endpoint-count estimate (parsed from the topology spec string
-  /// without building anything) by a per-engine factor and a per-pattern
-  /// factor. The estimate only drives scheduling — results never depend
-  /// on it — so a rough model is fine; what matters is that a packet cell
-  /// never looks as cheap as a flow cell.
-  std::uint64_t cell_cost(std::size_t cell) const { return cell_costs_[cell]; }
-
-  /// \brief Sum of cell_cost over all cells.
-  std::uint64_t total_cost() const { return total_cost_; }
-
-  /// \brief Half-open cell range of shard `shard` of `shards` under the
-  /// cost-balanced partition.
-  ///
-  /// Contiguous blocks with boundaries at equal *cost* fractions instead
-  /// of equal cell counts: concatenating the ranges of shards
-  /// `0..shards-1` still reproduces `[0, total_cells())` exactly for any
-  /// `shards >= 1` (the merge invariant), but a block full of packet
-  /// cells holds fewer cells than a block of flow cells. Used by
-  /// `--micro-shards` over-decomposition, where balanced micro-shards
-  /// plus dynamic queue scheduling stop one slow cell block from
-  /// serializing the sweep's tail.
-  std::pair<std::size_t, std::size_t> weighted_shard_cells(
-      unsigned shard, unsigned shards) const;
-
-  /// \brief Endpoint-count estimate parsed from a topology spec string
-  /// (never builds the topology; unknown families fall back to a flat
-  /// guess). Exposed for tests and the scheduling log.
-  static std::uint64_t estimate_endpoints(const std::string& spec);
 
  private:
   struct Grid {
@@ -216,9 +183,6 @@ class GridPlan {
   std::vector<std::string> topo_specs_;
   std::vector<std::string> batch_specs_;   // distinct specs, first-seen order
   std::vector<std::size_t> slot_batch_;    // slot -> batch
-  std::vector<std::uint64_t> cell_costs_;  // scheduling weights, per cell
-  std::vector<std::uint64_t> cost_prefix_; // cost_prefix_[c] = sum of [0, c)
-  std::uint64_t total_cost_ = 0;
   std::size_t total_cells_ = 0;
   std::string fingerprint_;
 };

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <queue>
 #include <stdexcept>
 #include <thread>
 
@@ -86,10 +85,8 @@ ShardManifest parse_manifest(const std::string& text) {
 }
 
 ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
-                        unsigned shard, unsigned shards, ResultCache& cache,
-                        bool weighted) {
-  const auto [lo, hi] = weighted ? plan.weighted_shard_cells(shard, shards)
-                                 : plan.shard_cells(shard, shards);
+                        unsigned shard, unsigned shards, ResultCache& cache) {
+  const auto [lo, hi] = plan.shard_cells(shard, shards);
   const std::size_t hits_before = cache.hits();
   const std::size_t misses_before = cache.misses();
   harness.run_cells(plan, lo, hi, &cache);
@@ -126,10 +123,9 @@ std::string merge_error(const GridPlan& plan,
       return who + ": grid fingerprint mismatch (manifest " + m.fingerprint +
              ", plan " + plan.fingerprint() + ")";
   }
-  // Partition-agnostic coverage: ordered by shard index, the ranges must
-  // tile [0, total_cells()) exactly — the equal-count split, the
-  // cost-weighted split, and any future partition all pass, while a gap,
-  // an overlap, or a truncated shard cannot.
+  // Coverage: ordered by shard index, the ranges must tile
+  // [0, total_cells()) exactly, so a gap, an overlap, or a truncated shard
+  // cannot pass.
   std::uint64_t expect_lo = 0;
   for (unsigned i = 0; i < shards; ++i) {
     const ShardManifest& m = *by_index[i];
@@ -192,37 +188,16 @@ double retry_backoff_s(const RetryPolicy& policy, unsigned shard,
   return delay * (0.5 + 0.5 * u);
 }
 
-std::uint64_t estimate_makespan(const std::vector<std::uint64_t>& costs,
-                                unsigned workers) {
-  if (workers == 0) workers = 1;
-  // Earliest-free-slot list scheduling over a min-heap of finish times.
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      slots;
-  for (unsigned w = 0; w < workers; ++w) slots.push(0);
-  std::uint64_t makespan = 0;
-  for (std::uint64_t cost : costs) {
-    const std::uint64_t finish = slots.top() + cost;
-    slots.pop();
-    slots.push(finish);
-    makespan = std::max(makespan, finish);
-  }
-  return makespan;
-}
-
 std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
                                      const RetryPolicy& policy,
                                      const ShardLauncher& launch,
-                                     const ShardProgress& progress,
-                                     const std::vector<unsigned>& order) {
+                                     const ShardProgress& progress) {
   std::vector<ShardRun> runs(shards);
   for (unsigned i = 0; i < shards; ++i) runs[i].shard = i;
   if (shards == 0) return runs;
   if (workers == 0) workers = 1;
   if (workers > shards) workers = shards;
   const unsigned max_attempts = std::max(1u, policy.max_attempts);
-  if (!order.empty() && order.size() != shards)
-    throw std::invalid_argument("run_shard_jobs: order must list every shard");
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -236,10 +211,7 @@ std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
   unsigned in_flight = 0;
   unsigned completed = 0;
   bool aborted = false;  // a permanent (exit 2) failure poisons the run
-  if (order.empty())
-    for (unsigned i = 0; i < shards; ++i) queue.push_back(i);
-  else
-    for (unsigned i : order) queue.push_back(i);
+  for (unsigned i = 0; i < shards; ++i) queue.push_back(i);
 
   // On abort, everything still waiting is marked skipped — retrying
   // cannot fix the config error that poisoned the run, so burning

@@ -1,6 +1,8 @@
 // Sharded grid execution: split one GridPlan across N worker processes.
 //
-// A shard is a contiguous block of the plan's cell index space. Each
+// A shard is a contiguous block of the plan's cell index space, taken
+// from the equal-count split GridPlan::shard_range (the one partition;
+// ask for more shards than workers to split the sweep finer). Each
 // worker executes its block with ExperimentHarness::run_cells, which
 // stores every computed cell into the shared content-addressed
 // ResultCache, and then writes a small JSON manifest naming the cells it
@@ -12,7 +14,8 @@
 // was covered exactly once.
 //
 // The orchestrator half (run_shard_jobs) is process-agnostic: it drives
-// any launcher callback with a bounded worker pool and per-shard retries.
+// any launcher callback with a bounded worker pool fed from one dynamic
+// queue, and per-shard retries.
 // The CLI wires it to fork/exec'd `hxmesh shard` children.
 #pragma once
 
@@ -55,13 +58,10 @@ ShardManifest parse_manifest(const std::string& text);
 
 /// \brief Executes shard `shard` of `shards` of `plan`: runs the shard's
 /// cell block through `harness` with `cache` (storing every miss) and
-/// returns the manifest describing the coverage. With `weighted`, the
-/// block comes from the cost-balanced partition
-/// (GridPlan::weighted_shard_cells) instead of the equal-count split —
-/// orchestrator and worker must agree on the flag.
+/// returns the manifest describing the coverage. The block is
+/// GridPlan::shard_cells(shard, shards).
 ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
-                        unsigned shard, unsigned shards, ResultCache& cache,
-                        bool weighted = false);
+                        unsigned shard, unsigned shards, ResultCache& cache);
 
 /// \brief Checks that `manifests` together cover `plan` exactly.
 ///
@@ -69,10 +69,10 @@ ShardManifest run_shard(ExperimentHarness& harness, const GridPlan& plan,
 /// exactly once, matching fingerprints, that the manifests' cell ranges —
 /// ordered by shard index — form one exact contiguous cover of
 /// `[0, total_cells())`, and that each manifest's keys equal the plan's
-/// keys for its range. Any partition with those properties merges (equal
-///-count, cost-weighted, or anything else that covers every cell exactly
-/// once). Returns an empty string when the merge is sound, else a
-/// human-readable reason.
+/// keys for its range. The check does not assume the equal-count split:
+/// any contiguous exact cover merges, and a gap, overlap or truncated
+/// shard does not. Returns an empty string when the merge is sound, else
+/// a human-readable reason.
 std::string merge_error(const GridPlan& plan,
                         const std::vector<ShardManifest>& manifests);
 
@@ -135,13 +135,6 @@ struct RetryPolicy {
 /// inputs always wait the same time, keeping soak tests reproducible.
 double retry_backoff_s(const RetryPolicy& policy, unsigned shard, int attempt);
 
-/// \brief Greedy list-scheduling makespan estimate: items (cost units)
-/// assigned in order, each to the earliest-free of `workers` slots.
-/// Drives the scheduling log that compares static contiguous shards to
-/// weighted micro-shards; never affects results.
-std::uint64_t estimate_makespan(const std::vector<std::uint64_t>& costs,
-                                unsigned workers);
-
 /// \brief Per-attempt progress callback of the orchestrator.
 ///
 /// Invoked after every launch attempt resolves, with the shard's current
@@ -169,15 +162,12 @@ using ShardLauncher = std::function<ShardAttempt(unsigned shard, int attempt)>;
 /// run aborts — every shard still queued is marked kSkipped instead of
 /// burning attempts on the same deterministic failure. A launcher that
 /// throws records kSpawnFailed with the exception's what() as the error.
-/// `order`, when non-empty, fixes the initial dispatch order (it must be
-/// a permutation of 0..shards-1) — the weighted scheduler enqueues
-/// expensive micro-shards first so no heavy block starts last.
+/// Shards are dispatched in index order; retries rejoin the queue's end.
 /// Returns one ShardRun per shard, indexed by shard. `progress`, when
 /// set, observes every attempt (see ShardProgress).
 std::vector<ShardRun> run_shard_jobs(unsigned shards, unsigned workers,
                                      const RetryPolicy& policy,
                                      const ShardLauncher& launch,
-                                     const ShardProgress& progress = nullptr,
-                                     const std::vector<unsigned>& order = {});
+                                     const ShardProgress& progress = nullptr);
 
 }  // namespace hxmesh::engine

@@ -44,7 +44,7 @@ MappedRing CommEnv::measure(
       ++steps;
     }
   }
-  engine::FlowEngine(topology_, config_).solve(flows);
+  result.converged = engine::FlowEngine(topology_, config_).solve(flows);
   double min_rate = flows.front().rate;
   for (const flow::Flow& f : flows) min_rate = std::min(min_rate, f.rate);
   result.rate_bps = min_rate;
@@ -110,9 +110,11 @@ double CommEnv::t_p2p(const MappedRing& ring, double s_bytes) const {
   return ring.alpha_s + per_plane / ring.rate_bps;
 }
 
-double CommEnv::t_alltoall(int p, double per_pair_bytes) const {
+double CommEnv::t_alltoall(int p, double per_pair_bytes,
+                           bool* converged) const {
   if (p <= 1) return 0.0;
-  double rate = alltoall_rate(p);  // per plane; data splits across planes
+  // Per plane; data splits across planes.
+  double rate = alltoall_rate(p, converged);
   double alpha = alltoall_alpha(p);
   return (p - 1) * (alpha + per_pair_bytes / plane_factor_ / rate);
 }

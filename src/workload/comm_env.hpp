@@ -27,6 +27,8 @@ struct MappedRing {
   int p = 0;            // ranks per ring
   double alpha_s = 0;   // per-step latency (hops x per-hop + packet ser.)
   double rate_bps = 0;  // min sustained per-flow rate, one plane
+  bool converged = true;  // false: the solve stopped at the filling cap, so
+                          // rate_bps is a lower bound
 };
 
 class CommEnv {
@@ -61,8 +63,11 @@ class CommEnv {
   /// Neighbor (pipeline) transfer of S bytes at the measured ring rate.
   double t_p2p(const MappedRing& ring, double s_bytes) const;
 
-  /// Alltoall of `per_pair_bytes` to each of p-1 peers.
-  double t_alltoall(int p, double per_pair_bytes) const;
+  /// Alltoall of `per_pair_bytes` to each of p-1 peers. `*converged`, when
+  /// given, is cleared as by alltoall_rate (the time is then an upper
+  /// bound).
+  double t_alltoall(int p, double per_pair_bytes,
+                    bool* converged = nullptr) const;
 
  private:
   MappedRing measure(const std::vector<std::vector<int>>& rings) const;

@@ -46,7 +46,8 @@ ModelResult eval_resnet152(const CommEnv& env) {
   double t_bucket = env.t_allreduce(ring, grads / buckets);
   double exposed_s = bucketed_allreduce_exposure(
       compute_ms / 1e3, backward_ms / 1e3, buckets, t_bucket);
-  return {"ResNet-152", compute_ms, compute_ms + exposed_s * 1e3};
+  return {"ResNet-152", compute_ms, compute_ms + exposed_s * 1e3,
+          ring.converged};
 }
 
 ModelResult eval_cosmoflow(const CommEnv& env) {
@@ -72,7 +73,8 @@ ModelResult eval_cosmoflow(const CommEnv& env) {
                                                backward_ms / 1e3, 4, t_bucket);
   // Halos overlap with the convolution compute except a ~10% tail.
   exposed += 0.1 * t_halo;
-  return {"CosmoFlow", compute_ms, compute_ms + exposed * 1e3};
+  return {"CosmoFlow", compute_ms, compute_ms + exposed * 1e3,
+          o_ring.converged && d_ring.converged};
 }
 
 ModelResult eval_dlrm(const CommEnv& env) {
@@ -81,10 +83,12 @@ ModelResult eval_dlrm(const CommEnv& env) {
   // Two alltoalls forward, two backward (1 MB each across the job), one
   // 2.96 MB allreduce for the MLP gradients; latency-bound, not overlapped.
   const double a2a_pair = 1e6 / ranks;
-  double t = 4.0 * env.t_alltoall(ranks, a2a_pair);
+  bool converged = true;
+  double t = 4.0 * env.t_alltoall(ranks, a2a_pair, &converged);
   MappedRing ring = env.rings_strided(ranks, 1);
   t += env.t_allreduce(ring, 2.96e6);
-  return {"DLRM", compute_ms, compute_ms + t * 1e3};
+  return {"DLRM", compute_ms, compute_ms + t * 1e3,
+          converged && ring.converged};
 }
 
 ModelResult eval_gpt3(const CommEnv& env, bool mixture_of_experts) {
@@ -107,14 +111,15 @@ ModelResult eval_gpt3(const CommEnv& env, bool mixture_of_experts) {
   double t = env.t_allreduce(o_ring, exposed_o_volume) +
              env.t_p2p(p_ring, exposed_p_volume) +
              2.0 * par.p * p_ring.alpha_s;  // pipeline fill/drain latency
+  bool converged = o_ring.converged && p_ring.converged;
   if (mixture_of_experts) {
     // Two alltoalls among the 16 experts per pass; exposed volume is one
     // expert's activation share per rank.
     const double expert_pair = act_bytes / 16.0;
-    t += 2.0 * env.t_alltoall(16, expert_pair);
+    t += 2.0 * env.t_alltoall(16, expert_pair, &converged);
   }
   return {mixture_of_experts ? "GPT-3 MoE" : "GPT-3", compute_ms,
-          compute_ms + t * 1e3};
+          compute_ms + t * 1e3, converged};
 }
 
 std::vector<ModelResult> eval_all_models(const CommEnv& env) {

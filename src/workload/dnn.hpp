@@ -23,6 +23,9 @@ struct ModelResult {
   std::string model;
   double compute_ms = 0;
   double iteration_ms = 0;
+  /// False when a ring or alltoall solve behind the result stopped at the
+  /// filling-round cap: the overhead is then an upper bound.
+  bool converged = true;
   double overhead_ms() const { return iteration_ms - compute_ms; }
 };
 

